@@ -2278,11 +2278,15 @@ pub fn read(
                     let from_node = client_node(w, client);
                     for (addr, members) in coalesce(ahead_misses) {
                         let keys: Vec<PageKey> = members.into_iter().map(|(k, ())| k).collect();
-                        let segs = {
-                            let topo = w.net.topo();
-                            let inst = &mut w.fss[fs.0 as usize];
-                            replica::plan_run(topo, inst, from_node, inode, addr, keys.len(), plan_now)
-                        };
+                        let segs = replica::plan_run(
+                            &mut w.net,
+                            &mut w.fss[fs.0 as usize],
+                            from_node,
+                            inode,
+                            addr,
+                            keys.len(),
+                            plan_now,
+                        );
                         for seg in segs {
                             let seg_keys: Vec<PageKey> = keys[seg.first..seg.first + seg.len].to_vec();
                             let seg_addr = BlockAddr {
@@ -2349,11 +2353,15 @@ pub fn read(
             let from_node = client_node(w, client);
             for (addr, members) in coalesce(misses) {
                 let keys: Vec<PageKey> = members.into_iter().map(|(k, ())| k).collect();
-                let segs = {
-                    let topo = w.net.topo();
-                    let inst = &mut w.fss[fs.0 as usize];
-                    replica::plan_run(topo, inst, from_node, inode, addr, keys.len(), plan_now)
-                };
+                let segs = replica::plan_run(
+                    &mut w.net,
+                    &mut w.fss[fs.0 as usize],
+                    from_node,
+                    inode,
+                    addr,
+                    keys.len(),
+                    plan_now,
+                );
                 for seg in segs {
                     let seg_keys: Vec<PageKey> = keys[seg.first..seg.first + seg.len].to_vec();
                     let seg_addr = BlockAddr {

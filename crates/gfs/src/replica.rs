@@ -30,16 +30,15 @@
 //!   watermark policy, and the catalog accounts the tape traffic.
 //!
 //! Everything here is ordinary deterministic state — `BTreeMap` file
-//! table, keyed cache lookups, index-ordered tie-breaks — so worlds that
-//! never populate the catalog take a single early-return and stay
-//! byte-identical to the pre-replica data path.
+//! table, index-ordered tie-breaks — so worlds that never populate the
+//! catalog take a single early-return and stay byte-identical to the
+//! pre-replica data path.
 
 use crate::types::{BlockAddr, InodeId, NsdId};
-use crate::world::{FsInstance, NsdBacking, NsdState};
+use crate::world::{FsInstance, GfsWorld, NsdBacking, NsdState};
 use hsm::manager::Hsm;
-use simcore::fxhash::FxHashMap;
 use simcore::{SimDuration, SimTime};
-use simnet::{NodeId, Topology};
+use simnet::{Network, NodeId};
 use std::collections::BTreeMap;
 
 /// How a write treats existing replicas.
@@ -184,9 +183,6 @@ pub struct ReplicaCatalog {
     /// Planned-but-unfinished blocks per source: `[0]` is home,
     /// `[1 + s]` is site `s`.
     pending: Vec<u64>,
-    /// Memoized round-trip times between node pairs (topology routes are
-    /// static; recomputing Dijkstra per run would dominate the planner).
-    rtt_cache: FxHashMap<(u32, u32), u64>,
     /// Optional cold tier.
     pub tier: Option<TierState>,
 }
@@ -416,18 +412,14 @@ impl ReplicaCatalog {
     }
 }
 
-/// Memoized round-trip time between two nodes, in nanoseconds.
-fn rtt_ns(topo: &Topology, cache: &mut FxHashMap<(u32, u32), u64>, from: NodeId, to: NodeId) -> u64 {
-    if let Some(&ns) = cache.get(&(from.0, to.0)) {
-        return ns;
-    }
-    let one_way = topo
+/// Round-trip time between two nodes in nanoseconds: twice the one-way
+/// delay of the network's route (an hour when unreachable).
+fn rtt_ns(net: &mut Network<GfsWorld>, from: NodeId, to: NodeId) -> u64 {
+    let one_way = net
         .route(from, to)
-        .map(|p| topo.path_delay(&p))
+        .map(|r| r.delay)
         .unwrap_or(SimDuration::from_secs(3600));
-    let ns = 2 * one_way.as_nanos();
-    cache.insert((from.0, to.0), ns);
-    ns
+    2 * one_way.as_nanos()
 }
 
 /// Plan where a coalesced run of `nblocks` disk-contiguous blocks is
@@ -442,7 +434,7 @@ fn rtt_ns(topo: &Topology, cache: &mut FxHashMap<(u32, u32), u64>, from: NodeId,
 /// scoring within [`SPLIT_SLACK_NS`] (or 2×) of the winner — the
 /// "large striped reads fan across replicas in parallel" path.
 pub fn plan_run(
-    topo: &Topology,
+    net: &mut Network<GfsWorld>,
     inst: &mut FsInstance,
     client_node: NodeId,
     inode: InodeId,
@@ -485,7 +477,7 @@ pub fn plan_run(
             .busy_until
             .as_nanos()
             .saturating_sub(now_ns);
-        let rtt = rtt_ns(topo, &mut inst.replicas.rtt_cache, client_node, server);
+        let rtt = rtt_ns(net, client_node, server);
         let pressure = inst.replicas.pending.first().copied().unwrap_or(0) * PENDING_BLOCK_NS;
         scored.push((rtt + queue + pressure, 0, Source::Home));
     }
@@ -496,7 +488,7 @@ pub fn plan_run(
             .busy_until
             .as_nanos()
             .saturating_sub(now_ns);
-        let rtt = rtt_ns(topo, &mut inst.replicas.rtt_cache, client_node, server);
+        let rtt = rtt_ns(net, client_node, server);
         let pressure = inst
             .replicas
             .pending

@@ -13,7 +13,9 @@
 
 pub mod fairshare;
 pub mod network;
+pub mod routes;
 pub mod topology;
 
 pub use network::{FlowId, FlowSpec, NetWorld, Network};
+pub use routes::Route;
 pub use topology::{Link, LinkId, Node, NodeId, Topology, TopologyBuilder};

@@ -20,6 +20,12 @@
 //!   ([`simcore::TimerId`]), re-registered whenever the earliest drain time
 //!   moves — replacing the classic stale-epoch guard and keeping the event
 //!   heap free of dead closures.
+//! * **Routes** are computed once per source from the immutable topology:
+//!   the first lookup from a node runs Dijkstra over the whole graph and
+//!   keeps its shortest-path tree, and each pair's path, delay and capacity
+//!   are memoised ([`crate::routes`]). Messages, flows and [`Network::rtt`]
+//!   all read that table; link health is not cached and is checked on
+//!   every use.
 //! * **Messages** are control-plane RPCs: they experience path latency,
 //!   serialization at path capacity and a fixed software overhead, but do
 //!   not consume modeled bandwidth (GPFS daemon traffic is negligible next
@@ -29,10 +35,12 @@
 //!   and optionally re-draws jittered link capacities each tick.
 
 use crate::fairshare::{FlatFlow, Solver};
+use crate::routes::{Route, RouteTable};
 use crate::topology::{LinkId, NodeId, Topology};
 use rand::rngs::StdRng;
 use simcore::{det_rng, Action, RateSeries, Sim, SimDuration, SimTime, TimeSeries, TimerId};
 use std::collections::BTreeMap;
+use std::rc::Rc;
 
 /// Worlds that embed a [`Network`] keyed to themselves.
 pub trait NetWorld: Sized + 'static {
@@ -105,8 +113,8 @@ struct LinkHealth {
 }
 
 struct FlowState<W> {
-    path: Vec<LinkId>,
-    path_u32: Vec<u32>,
+    /// The route's path, shared with the route table.
+    path: Rc<[LinkId]>,
     cap: f64,
     remaining: f64,
     rate: f64,
@@ -128,6 +136,7 @@ struct Monitor {
 /// `(&mut Sim<W>, &mut W)`.
 pub struct Network<W> {
     topo: Topology,
+    routes: RouteTable,
     effective_capacity: Vec<f64>,
     health: Vec<LinkHealth>,
     flows: BTreeMap<u64, FlowState<W>>,
@@ -193,6 +202,7 @@ impl<W: NetWorld> Network<W> {
             nl
         ];
         Network {
+            routes: RouteTable::new(topo.node_count()),
             topo,
             effective_capacity: caps,
             health,
@@ -259,19 +269,24 @@ impl<W: NetWorld> Network<W> {
             .sum()
     }
 
+    /// The shortest path from `src` to `dst` by propagation delay, or
+    /// `None` if `dst` is unreachable. Read from the route table: the first
+    /// lookup from a source computes its whole shortest-path tree, later
+    /// ones are memoised. The route says nothing about link health.
+    pub fn route(&mut self, src: NodeId, dst: NodeId) -> Option<&Route> {
+        self.routes.lookup(&self.topo, src, dst)
+    }
+
+    /// One-way propagation delay from `src` to `dst`, if reachable.
+    fn one_way(&mut self, src: NodeId, dst: NodeId) -> Option<SimDuration> {
+        self.route(src, dst).map(|r| r.delay)
+    }
+
     /// Round-trip propagation time between two nodes (twice the one-way
     /// shortest-path delay plus two message overheads).
-    pub fn rtt(&self, a: NodeId, b: NodeId) -> SimDuration {
-        let fwd = self
-            .topo
-            .route(a, b)
-            .map(|p| self.topo.path_delay(&p))
-            .unwrap_or(SimDuration::MAX);
-        let back = self
-            .topo
-            .route(b, a)
-            .map(|p| self.topo.path_delay(&p))
-            .unwrap_or(SimDuration::MAX);
+    pub fn rtt(&mut self, a: NodeId, b: NodeId) -> SimDuration {
+        let fwd = self.one_way(a, b).unwrap_or(SimDuration::MAX);
+        let back = self.one_way(b, a).unwrap_or(SimDuration::MAX);
         fwd + back + self.msg_overhead * 2
     }
 
@@ -365,11 +380,6 @@ impl<W: NetWorld> Network<W> {
         self.effective_capacity[i] = self.base_capacity(i);
     }
 
-    /// Whether every link of `path` is currently up.
-    fn path_is_live(&self, path: &[LinkId]) -> bool {
-        path.iter().all(|l| self.health[l.0 as usize].up)
-    }
-
     // ------------------------------------------------------------------
     // Flow lifecycle
     // ------------------------------------------------------------------
@@ -387,30 +397,22 @@ impl<W: NetWorld> Network<W> {
         let (id, needs_solve) = {
             let net = w.net();
             net.settle(now);
-            let path = net
-                .topo
+            let route = net
                 .route(spec.src, spec.dst)
                 .unwrap_or_else(|| panic!("no route {:?} -> {:?}", spec.src, spec.dst));
-            let delivery_delay = net.topo.path_delay(&path);
-            let rtt = {
-                // Window cap uses the full round trip as TCP would see it.
-                let back = net
-                    .topo
-                    .route(spec.dst, spec.src)
-                    .map(|p| net.topo.path_delay(&p))
-                    .unwrap_or(delivery_delay);
-                delivery_delay + back
-            };
+            let path = route.path.clone();
+            let delivery_delay = route.delay;
             let cap = match spec.window {
                 Some(wnd) => {
-                    let rtt_s = rtt.as_secs_f64().max(1e-9);
+                    // Window cap uses the full round trip as TCP would see it.
+                    let back = net.one_way(spec.dst, spec.src).unwrap_or(delivery_delay);
+                    let rtt_s = (delivery_delay + back).as_secs_f64().max(1e-9);
                     wnd as f64 / rtt_s
                 }
                 None => f64::INFINITY,
             };
             let id = net.next_id;
             net.next_id += 1;
-            let path_u32: Vec<u32> = path.iter().map(|l| l.0).collect();
 
             // Fast path: a cap-limited flow that fits (with margin) under
             // every link it crosses, none of which is saturated or pending a
@@ -420,28 +422,28 @@ impl<W: NetWorld> Network<W> {
             // and joins the end-of-instant batch solve.
             let mut rate = 0.0;
             let mut needs = false;
-            if path_u32.is_empty() {
+            if path.is_empty() {
                 rate = cap.min(RATE_CLAMP);
             } else {
                 let fast = cap.is_finite()
-                    && path_u32.iter().all(|&l| {
-                        let li = l as usize;
+                    && path.iter().all(|l| {
+                        let li = l.0 as usize;
                         let c = net.effective_capacity[li];
                         !net.link_saturated[li]
                             && !net.dirty_link_flag[li]
                             && net.link_load[li] + cap <= c - FAST_ADD_MARGIN * c
                     });
-                for &l in &path_u32 {
-                    net.link_active[l as usize] += 1;
+                for l in path.iter() {
+                    net.link_active[l.0 as usize] += 1;
                 }
                 if fast {
                     rate = cap.min(RATE_CLAMP);
-                    for &l in &path_u32 {
-                        net.link_load[l as usize] += rate;
+                    for l in path.iter() {
+                        net.link_load[l.0 as usize] += rate;
                     }
                 } else {
-                    for &l in &path_u32 {
-                        net.mark_link_dirty(l);
+                    for l in path.iter() {
+                        net.mark_link_dirty(l.0);
                     }
                     needs = true;
                 }
@@ -450,7 +452,6 @@ impl<W: NetWorld> Network<W> {
                 id,
                 FlowState {
                     path,
-                    path_u32,
                     cap,
                     remaining: spec.bytes as f64,
                     rate,
@@ -559,15 +560,15 @@ impl<W: NetWorld> Network<W> {
         on_deliver: impl FnOnce(&mut Sim<W>, &mut W) + 'static,
     ) -> bool {
         let net = w.net();
-        let path = net
-            .topo
-            .route(src, dst)
+        let route = net
+            .routes
+            .lookup(&net.topo, src, dst)
             .unwrap_or_else(|| panic!("no route {src:?} -> {dst:?}"));
-        if !net.path_is_live(&path) {
+        if !route.path.iter().all(|l| net.health[l.0 as usize].up) {
             return false;
         }
-        let mut delay = net.topo.path_delay(&path) + net.msg_overhead;
-        let cap = net.topo.path_capacity(&path);
+        let mut delay = route.delay + net.msg_overhead;
+        let cap = route.capacity;
         if cap.is_finite() && cap > 0.0 {
             delay += SimDuration::from_secs_f64(bytes as f64 / cap);
         }
@@ -687,7 +688,7 @@ impl<W: NetWorld> Network<W> {
             if moved > 0.0 {
                 if let Some(m) = &mut self.monitor {
                     let b = moved as u64;
-                    for l in &f.path {
+                    for l in f.path.iter() {
                         m.link_series[l.0 as usize].record(t_rec, b);
                     }
                     if let Some(ts) = m.tag_series.get_mut(&f.tag) {
@@ -715,8 +716,8 @@ impl<W: NetWorld> Network<W> {
     /// marked dirty.
     fn note_removed(&mut self, f: &FlowState<W>) -> bool {
         let mut fast = true;
-        for &l in &f.path_u32 {
-            let li = l as usize;
+        for l in f.path.iter() {
+            let li = l.0 as usize;
             self.link_active[li] -= 1;
             self.link_load[li] -= f.rate;
             if self.link_active[li] == 0 {
@@ -729,8 +730,8 @@ impl<W: NetWorld> Network<W> {
             }
         }
         if !fast {
-            for &l in &f.path_u32 {
-                self.mark_link_dirty(l);
+            for l in f.path.iter() {
+                self.mark_link_dirty(l.0);
             }
         }
         !fast
@@ -771,18 +772,18 @@ impl<W: NetWorld> Network<W> {
         // to component roots.
         let mut uf = std::mem::take(&mut self.nw_uf);
         for f in self.flows.values() {
-            for &l in &f.path_u32 {
-                let li = l as usize;
+            for l in f.path.iter() {
+                let li = l.0 as usize;
                 if !self.nw_seen[li] {
                     self.nw_seen[li] = true;
-                    uf[li] = l;
-                    self.nw_touched.push(l);
+                    uf[li] = l.0;
+                    self.nw_touched.push(l.0);
                 }
             }
-            if let Some((&first, rest)) = f.path_u32.split_first() {
-                let mut root = uf_find(&mut uf, first);
-                for &l in rest {
-                    let r = uf_find(&mut uf, l);
+            if let Some((first, rest)) = f.path.split_first() {
+                let mut root = uf_find(&mut uf, first.0);
+                for l in rest {
+                    let r = uf_find(&mut uf, l.0);
                     if r != root {
                         // Deterministic union: smaller root wins.
                         let (lo, hi) = if r < root { (r, root) } else { (root, r) };
@@ -814,16 +815,16 @@ impl<W: NetWorld> Network<W> {
         self.rc_meta.clear();
         self.rc_ids.clear();
         for (&id, f) in &self.flows {
-            let Some(&first) = f.path_u32.first() else {
+            let Some(first) = f.path.first() else {
                 continue;
             };
-            let root = uf_find(&mut uf, first);
+            let root = uf_find(&mut uf, first.0);
             if self.nw_root_dirty[root as usize] {
                 let start = self.rc_paths.len() as u32;
-                self.rc_paths.extend_from_slice(&f.path_u32);
+                self.rc_paths.extend(f.path.iter().map(|l| l.0));
                 self.rc_meta.push(FlatFlow {
                     start,
-                    len: f.path_u32.len() as u32,
+                    len: f.path.len() as u32,
                     cap: f.cap,
                 });
                 self.rc_ids.push(id);
@@ -848,8 +849,8 @@ impl<W: NetWorld> Network<W> {
                 let r = rates[k].min(RATE_CLAMP);
                 let f = self.flows.get_mut(&id).expect("id collected above");
                 f.rate = r;
-                for &l in &f.path_u32 {
-                    self.link_load[l as usize] += r;
+                for l in f.path.iter() {
+                    self.link_load[l.0 as usize] += r;
                 }
             }
             self.rc_paths = paths;
@@ -1250,6 +1251,158 @@ mod tests {
         sim.run(&mut w);
         assert_eq!(w.done.len(), 1);
         assert_eq!(w.done[0].1, "ok");
+    }
+
+    /// Every ordered pair's table route against a fresh `Topology::route`.
+    fn assert_table_matches_topology(net: &mut Network<World>) {
+        let topo = net.topo().clone();
+        let n = topo.node_count() as u32;
+        for s in 0..n {
+            for d in 0..n {
+                let (src, dst) = (NodeId(s), NodeId(d));
+                let want = topo.route(src, dst);
+                let got = net.route(src, dst).cloned();
+                match (want, got) {
+                    (None, None) => {}
+                    (Some(p), Some(r)) => {
+                        assert_eq!(&*r.path, &p[..], "{s}->{d} path");
+                        assert_eq!(r.delay, topo.path_delay(&p), "{s}->{d} delay");
+                        assert_eq!(r.capacity, topo.path_capacity(&p), "{s}->{d} capacity");
+                    }
+                    (w, g) => panic!("{s}->{d}: topology {w:?}, table {:?}", g.map(|r| r.path)),
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn route_table_matches_topology_cold_and_warm() {
+        // Equal-delay diamond a->{x,y}->z, a one-way spur a->q, and an
+        // isolated node: ties, asymmetry and unreachable pairs.
+        let mut b = TopologyBuilder::new();
+        let a = b.node("a");
+        let x = b.node("x");
+        let y = b.node("y");
+        let z = b.node("z");
+        let q = b.node("q");
+        b.node("lone");
+        let ms = SimDuration::from_millis;
+        b.duplex_link(a, x, Bandwidth::gbit(10.0), ms(5), "ax");
+        b.duplex_link(a, y, Bandwidth::gbit(1.0), ms(5), "ay");
+        b.duplex_link(x, z, Bandwidth::gbit(2.0), ms(5), "xz");
+        b.duplex_link(y, z, Bandwidth::gbit(10.0), ms(5), "yz");
+        b.directed_link(a, q, Bandwidth::gbit(1.0), ms(1), "aq");
+        let topo = b.build();
+        let fresh = || World {
+            net: Network::new(topo.clone(), 1),
+            done: Vec::new(),
+        };
+        // Warm: one table, every pair twice (the second pass is memoised).
+        let mut w = fresh();
+        assert_table_matches_topology(&mut w.net);
+        assert_table_matches_topology(&mut w.net);
+        // Cold: each pair is the first lookup of a fresh table, in reverse.
+        let n = topo.node_count() as u32;
+        for s in (0..n).rev() {
+            for d in (0..n).rev() {
+                let (src, dst) = (NodeId(s), NodeId(d));
+                let cold = fresh().net.route(src, dst).map(|r| r.path.to_vec());
+                assert_eq!(cold, w.net.route(src, dst).map(|r| r.path.to_vec()));
+            }
+        }
+    }
+
+    /// Warm the a->c route with a delivered message and a drained flow.
+    fn warm_route(sim: &mut Sim<World>, w: &mut World, a: NodeId, c: NodeId) {
+        Network::send_msg(sim, w, a, c, 1000, |sim, w: &mut World| {
+            w.done.push((sim.now(), "warm-msg"))
+        });
+        Network::start_flow(sim, w, FlowSpec::bulk(a, c, MBYTE), |sim, w: &mut World| {
+            w.done.push((sim.now(), "warm-flow"))
+        });
+        sim.run(w);
+        assert_eq!(w.done.len(), 2);
+        w.done.clear();
+    }
+
+    #[test]
+    fn warm_routes_still_see_link_outages() {
+        let (mut sim, mut w, a, _m, c) = world();
+        warm_route(&mut sim, &mut w, a, c);
+        let mc = w.net().links_named("mc");
+        for &l in &mc {
+            Network::set_link_up(&mut sim, &mut w, l, false);
+        }
+        let sent = Network::send_msg(&mut sim, &mut w, a, c, 1000, |_s, w: &mut World| {
+            w.done.push((SimTime::ZERO, "lost"))
+        });
+        assert!(
+            !sent,
+            "message over a down link of a warm route must be dropped"
+        );
+        let t0 = sim.now();
+        let f = Network::start_flow(
+            &mut sim,
+            &mut w,
+            FlowSpec::bulk(a, c, 125 * MBYTE),
+            |sim, w: &mut World| w.done.push((sim.now(), "flow")),
+        );
+        // Half a second in, the flow is stalled with every byte left.
+        sim.at(
+            t0 + SimDuration::from_millis(500),
+            move |_sim, w: &mut World| {
+                assert_eq!(w.net.flow_rate(f), Some(0.0));
+                assert_eq!(w.net.flow_remaining(f), Some(125 * MBYTE));
+            },
+        );
+        // Restore after a second: a message goes through and the flow
+        // drains at 1 Gb/s.
+        let t1 = t0 + SimDuration::from_secs(1);
+        sim.at(t1, move |sim, w: &mut World| {
+            for &l in &mc {
+                Network::set_link_up(sim, w, l, true);
+            }
+            assert!(Network::send_msg(
+                sim,
+                w,
+                a,
+                c,
+                1000,
+                |sim, w: &mut World| { w.done.push((sim.now(), "msg")) }
+            ));
+        });
+        sim.run(&mut w);
+        let names: Vec<_> = w.done.iter().map(|(_, n)| *n).collect();
+        assert_eq!(names, ["msg", "flow"]);
+        let msg = w.done[0].0.since(t1).as_secs_f64();
+        assert!(
+            (msg - 0.025038).abs() < 1e-5,
+            "message after restore took {msg}"
+        );
+        let took = w.done[1].0.since(t1).as_secs_f64();
+        assert!((took - 1.025).abs() < 2e-3, "resumed flow took {took}");
+    }
+
+    #[test]
+    fn warm_routes_still_see_degradation() {
+        let (mut sim, mut w, a, _m, c) = world();
+        warm_route(&mut sim, &mut w, a, c);
+        for l in w.net().links_named("mc") {
+            Network::set_link_degraded(&mut sim, &mut w, l, 0.5);
+        }
+        let t0 = sim.now();
+        Network::start_flow(
+            &mut sim,
+            &mut w,
+            FlowSpec::bulk(a, c, 125 * MBYTE),
+            |sim, w: &mut World| w.done.push((sim.now(), "slow")),
+        );
+        sim.run(&mut w);
+        let took = w.done[0].0.since(t0).as_secs_f64();
+        assert!(
+            (took - 2.025).abs() < 2e-3,
+            "half-rate flow on a warm route took {took}"
+        );
     }
 
     #[test]

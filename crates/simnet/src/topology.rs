@@ -18,6 +18,10 @@ pub struct NodeId(pub u32);
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct LinkId(pub u32);
 
+/// Predecessor-link sentinel in a shortest-path tree: the tree's root, or a
+/// node it does not reach.
+pub(crate) const NO_LINK: u32 = u32::MAX;
+
 /// A named node.
 #[derive(Clone, Debug)]
 pub struct Node {
@@ -101,9 +105,22 @@ impl Topology {
         if src == dst {
             return Some(Vec::new());
         }
+        let pred = self.shortest_path_tree(src, Some(dst));
+        self.tree_path(&pred, src, dst)
+    }
+
+    /// Dijkstra by propagation delay from `src`, +1 ns per hop so
+    /// equal-latency routes prefer fewer hops. Returns each node's
+    /// predecessor link (`NO_LINK` for `src` and unreached nodes).
+    ///
+    /// With `stop` the search ends once that node is settled. Every node on
+    /// the stop node's shortest path has a strictly smaller distance, so it
+    /// is settled first and a full run gives it the same predecessor: both
+    /// runs yield link-for-link the same route to `stop`.
+    pub(crate) fn shortest_path_tree(&self, src: NodeId, stop: Option<NodeId>) -> Vec<u32> {
         let n = self.nodes.len();
         let mut dist = vec![u64::MAX; n];
-        let mut prev: Vec<Option<(NodeId, LinkId)>> = vec![None; n];
+        let mut pred = vec![NO_LINK; n];
         let mut heap = BinaryHeap::new();
         dist[src.0 as usize] = 0;
         heap.push(std::cmp::Reverse((0u64, src.0)));
@@ -111,30 +128,35 @@ impl Topology {
             if d > dist[u as usize] {
                 continue;
             }
-            if u == dst.0 {
+            if Some(NodeId(u)) == stop {
                 break;
             }
             for &(v, l) in &self.adj[u as usize] {
-                // +1ns per hop so equal-latency routes prefer fewer hops.
                 let nd = d
                     .saturating_add(self.links[l.0 as usize].delay.as_nanos())
                     .saturating_add(1);
                 if nd < dist[v.0 as usize] {
                     dist[v.0 as usize] = nd;
-                    prev[v.0 as usize] = Some((NodeId(u), l));
+                    pred[v.0 as usize] = l.0;
                     heap.push(std::cmp::Reverse((nd, v.0)));
                 }
             }
         }
-        if dist[dst.0 as usize] == u64::MAX {
-            return None;
-        }
+        pred
+    }
+
+    /// Walk a [`Self::shortest_path_tree`] back from `dst` to `src`.
+    /// `None` if `dst` was not reached.
+    pub(crate) fn tree_path(&self, pred: &[u32], src: NodeId, dst: NodeId) -> Option<Vec<LinkId>> {
         let mut path = Vec::new();
         let mut cur = dst;
         while cur != src {
-            let (p, l) = prev[cur.0 as usize].expect("reached node must have predecessor");
-            path.push(l);
-            cur = p;
+            let l = pred[cur.0 as usize];
+            if l == NO_LINK {
+                return None;
+            }
+            path.push(LinkId(l));
+            cur = self.links[l as usize].from;
         }
         path.reverse();
         Some(path)
