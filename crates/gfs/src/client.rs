@@ -18,6 +18,7 @@
 
 use crate::cache::{DirtyPage, PageKey, PrefetchState};
 use crate::faults::RecoveryWhat;
+use crate::metaop::Reply;
 use crate::replica;
 use crate::tokens::{ByteRange, TokenMode};
 use crate::types::{BlockAddr, ClientId, FsError, FsId, Handle, InodeId, NsdId, OpenFlags, Owner};
@@ -320,15 +321,7 @@ pub(crate) fn readdir_apply(
 }
 
 pub(crate) fn unlink_apply(w: &mut GfsWorld, fs: FsId, path: &str) -> Result<(), FsError> {
-    let ch = {
-        let inst = &mut w.fss[fs.0 as usize];
-        let shard = inst.core.shards.shard_of(path) as usize;
-        let ch = inst.core.unlink_entry(path)?;
-        // Keep the owning manager's envelope path cache coherent when
-        // legacy clients and sessions share a filesystem (no-op when empty).
-        inst.mgrs[shard].uncache_path(path);
-        ch
-    };
+    let ch = w.fss[fs.0 as usize].core.unlink_entry(path)?;
     // Invalidate everywhere (the manager broadcasts in GPFS; we apply the
     // effect directly and charge nothing extra — unlink of an
     // open-elsewhere file is out of scope). Dentry caches drop the
@@ -347,14 +340,7 @@ pub(crate) fn rename_apply(
     from: &str,
     to: &str,
 ) -> Result<(), FsError> {
-    let ch = {
-        let inst = &mut w.fss[fs.0 as usize];
-        let ch = inst.core.rename_entry(from, to)?;
-        for mgr in &mut inst.mgrs {
-            mgr.uncache_all_paths();
-        }
-        ch
-    };
+    let ch = w.fss[fs.0 as usize].core.rename_entry(from, to)?;
     // Every client must stop resolving the old name, and — when the rename
     // atomically replaced an existing target — stop resolving the old
     // target and drop its cached pages. The mover's cache learns the new
@@ -400,82 +386,50 @@ pub(crate) fn open_apply(
     Ok((fs, inode))
 }
 
-// Manager-side op bodies for fan-in envelopes. Envelopes execute *at* the
-// manager, which resolves against its own precisely-invalidated path
-// cache (see `ManagerState::cached_path`) instead of modeling a client
-// dentry walk — the per-client free functions above keep their exact
-// resolution behavior. Mutating bodies invalidate both the manager cache
-// and, via the shared broadcast, every client cache, so mixed
-// legacy+session workloads on one filesystem stay coherent.
-
-/// Resolve through the manager's path cache, filling it on miss.
-fn lookup_mgr(
-    core: &crate::fscore::FsCore,
-    mgr: &mut crate::world::ManagerState,
-    path: &str,
-) -> Result<InodeId, FsError> {
-    if let Some(id) = mgr.cached_path(path) {
-        core.meta_bump_resolve();
-        return Ok(id);
-    }
-    let id = core.lookup(path)?;
-    mgr.cache_path(path, id);
-    Ok(id)
-}
+// Manager-side op bodies for fan-in envelopes (run through
+// `crate::metaop::MetaOp::apply`). Envelopes execute *at* the manager,
+// which resolves straight against the namespace instead of modeling a
+// client dentry walk — the per-client free functions above keep their
+// exact resolution behavior. Mutating bodies invalidate every client
+// cache through the shared broadcast, so mixed legacy+session workloads
+// on one filesystem stay coherent.
 
 pub(crate) fn mkdir_apply_mgr(
     w: &mut GfsWorld,
     fs: FsId,
-    shard: u32,
     now: u64,
     path: &str,
     owner: &Owner,
 ) -> Result<InodeId, FsError> {
-    let inst = &mut w.fss[fs.0 as usize];
-    let ch = inst.core.mkdir_entry(path, owner.clone(), now)?;
-    // Seed the owning manager's cache — the creator (or a sibling session)
-    // will almost always resolve the new directory next.
-    inst.mgrs[shard as usize].cache_path(path, ch.id);
+    let ch = w.fss[fs.0 as usize]
+        .core
+        .mkdir_entry(path, owner.clone(), now)?;
     Ok(ch.id)
 }
 
 pub(crate) fn stat_apply_mgr(
-    w: &mut GfsWorld,
+    w: &GfsWorld,
     fs: FsId,
-    shard: u32,
     path: &str,
 ) -> Result<crate::fscore::FileAttr, FsError> {
-    let inst = &mut w.fss[fs.0 as usize];
-    let id = lookup_mgr(&inst.core, &mut inst.mgrs[shard as usize], path)?;
-    inst.core.stat_id(id)
+    let core = &w.fss[fs.0 as usize].core;
+    core.stat_id(core.lookup(path)?)
 }
 
 pub(crate) fn readdir_apply_mgr(
-    w: &mut GfsWorld,
+    w: &GfsWorld,
     fs: FsId,
-    shard: u32,
     path: &str,
 ) -> Result<Vec<String>, FsError> {
-    let inst = &mut w.fss[fs.0 as usize];
-    let id = lookup_mgr(&inst.core, &mut inst.mgrs[shard as usize], path)?;
-    inst.core.readdir_id(id).map_err(|e| match e {
+    let core = &w.fss[fs.0 as usize].core;
+    core.readdir_id(core.lookup(path)?).map_err(|e| match e {
         FsError::NotADirectory(_) => FsError::NotADirectory(path.to_string()),
         other => other,
     })
 }
 
-pub(crate) fn unlink_apply_mgr(
-    w: &mut GfsWorld,
-    fs: FsId,
-    shard: u32,
-    path: &str,
-) -> Result<(), FsError> {
-    let ch = {
-        let inst = &mut w.fss[fs.0 as usize];
-        let ch = inst.core.unlink_entry(path)?;
-        inst.mgrs[shard as usize].uncache_path(path);
-        ch
-    };
+pub(crate) fn unlink_apply_mgr(w: &mut GfsWorld, fs: FsId, path: &str) -> Result<(), FsError> {
+    let ch = w.fss[fs.0 as usize].core.unlink_entry(path)?;
     for c in &mut w.clients {
         c.pool.invalidate_file(fs, ch.id);
         c.dentry.invalidate(fs, ch.parent, ch.name);
@@ -489,17 +443,7 @@ pub(crate) fn rename_apply_mgr(
     from: &str,
     to: &str,
 ) -> Result<(), FsError> {
-    let ch = {
-        let inst = &mut w.fss[fs.0 as usize];
-        let ch = inst.core.rename_entry(from, to)?;
-        // A rename moves a whole subtree; every cached path under it is
-        // suspect, so every manager drops its cache wholesale (a cross-shard
-        // rename invalidates on both the source and destination owner).
-        for mgr in &mut inst.mgrs {
-            mgr.uncache_all_paths();
-        }
-        ch
-    };
+    let ch = w.fss[fs.0 as usize].core.rename_entry(from, to)?;
     for c in &mut w.clients {
         c.dentry.invalidate(fs, ch.from_parent, ch.from_name);
         c.dentry.invalidate(fs, ch.to_parent, ch.to_name);
@@ -513,24 +457,21 @@ pub(crate) fn rename_apply_mgr(
 pub(crate) fn open_apply_mgr(
     w: &mut GfsWorld,
     fs: FsId,
-    shard: u32,
     now: u64,
     path: &str,
     flags: OpenFlags,
     owner: &Owner,
 ) -> Result<(FsId, InodeId), FsError> {
-    let inst = &mut w.fss[fs.0 as usize];
-    let inode = match lookup_mgr(&inst.core, &mut inst.mgrs[shard as usize], path) {
+    let core = &mut w.fss[fs.0 as usize].core;
+    let inode = match core.lookup(path) {
         Ok(id) => {
-            if inst.core.inode(id)?.is_dir() {
+            if core.inode(id)?.is_dir() {
                 return Err(FsError::IsADirectory(path.to_string()));
             }
             id
         }
         Err(FsError::NotFound(_)) if flags.writes() => {
-            let ch = inst.core.create_file_entry(path, owner.clone(), now)?;
-            inst.mgrs[shard as usize].cache_path(path, ch.id);
-            ch.id
+            core.create_file_entry(path, owner.clone(), now)?.id
         }
         Err(e) => return Err(e),
     };
@@ -552,7 +493,10 @@ pub(crate) fn open_apply_mgr(
 /// Requests reaching a crashed, recovering, or superseded manager are
 /// dropped at delivery; the watchdog is how the client learns. Read-only
 /// ops (`mutating == false`) skip the dedup table and simply re-execute.
-fn manager_rpc<T: Clone + 'static>(
+/// Results are recorded in the manager's typed store as a
+/// [`crate::metaop::MetaReply`] (see [`Reply`]), the same store fan-in
+/// envelopes use.
+fn manager_rpc<T: Reply + Clone + 'static>(
     sim: &mut Sim<GfsWorld>,
     w: &mut GfsWorld,
     client: ClientId,
@@ -573,7 +517,7 @@ type ManagerOp<T> =
     Rc<RefCell<dyn FnMut(&mut Sim<GfsWorld>, &mut GfsWorld, FsId) -> Result<T, FsError>>>;
 
 #[allow(clippy::too_many_arguments)]
-fn manager_rpc_attempt<T: Clone + 'static>(
+fn manager_rpc_attempt<T: Reply + Clone + 'static>(
     sim: &mut Sim<GfsWorld>,
     w: &mut GfsWorld,
     client: ClientId,
@@ -637,16 +581,20 @@ fn manager_rpc_attempt<T: Clone + 'static>(
         // Exactly-once: if an earlier attempt of this mutating op already
         // applied (its reply was lost in flight), replay the recorded
         // result instead of executing twice.
-        let replay = w.fss[fs.0 as usize].mgrs[shard as usize].applied_result(op_id);
+        let replay = if mutating {
+            w.fss[fs.0 as usize].mgrs[shard as usize]
+                .applied_result(op_id)
+                .map(|r| r.clone().map(T::from_reply))
+        } else {
+            None
+        };
         let result: Result<T, FsError> = match replay {
-            Some(r) => r
-                .downcast_ref::<Result<T, FsError>>()
-                .expect("op replayed with a different result type")
-                .clone(),
+            Some(r) => r,
             None => {
                 let r = (f.borrow_mut())(sim, w, fs);
                 if mutating {
-                    w.fss[fs.0 as usize].mgrs[shard as usize].record(op_id, Rc::new(r.clone()));
+                    let rec = Rc::new(r.clone().map(T::into_reply));
+                    w.fss[fs.0 as usize].mgrs[shard as usize].record(op_id, rec);
                 }
                 r
             }
@@ -669,7 +617,7 @@ fn manager_rpc_attempt<T: Clone + 'static>(
 /// lives on another shard — run at the source's owner; the shared-disk
 /// `FsCore` makes that correct, and only sessions model the two-phase
 /// peer charge).
-fn meta_rpc<T: Clone + 'static>(
+fn meta_rpc<T: Reply + Clone + 'static>(
     sim: &mut Sim<GfsWorld>,
     w: &mut GfsWorld,
     client: ClientId,
@@ -1557,8 +1505,11 @@ pub fn maybe_rebalance(sim: &mut Sim<GfsWorld>, w: &mut GfsWorld, fs: FsId) -> b
             // acks.
             let op_id = (1u64 << 62) | inst.migration_seq;
             inst.migration_seq += 1;
-            let rec: std::rc::Rc<dyn std::any::Any> =
-                std::rc::Rc::new(format!("migrate /{top}: shard {from} -> {to}"));
+            let rec = Rc::new(Ok(crate::metaop::MetaReply::Migrated {
+                top: top.clone(),
+                from: *from,
+                to: *to,
+            }));
             inst.mgrs[*from as usize].record(op_id, rec.clone());
             inst.mgrs[*to as usize].record(op_id, rec);
         }
@@ -2577,13 +2528,12 @@ pub fn fsync(
     handle: Handle,
     cb: impl FnOnce(&mut Sim<GfsWorld>, &mut GfsWorld, Result<(), FsError>) + 'static,
 ) {
-    let Some(of) = w.clients[client.0 as usize].handles.get(&handle).cloned() else {
+    let c = &w.clients[client.0 as usize];
+    let Some(of) = c.handles.get(&handle) else {
         cb(sim, w, Err(FsError::BadHandle));
         return;
     };
-    let dirty = w.clients[client.0 as usize]
-        .pool
-        .dirty_pages_of(of.fs, of.inode);
+    let dirty = c.pool.dirty_pages_of(of.fs, of.inode);
     flush_dirty_pages(sim, w, client, dirty, Box::new(cb));
 }
 

@@ -590,13 +590,6 @@ impl FsCore {
         }
     }
 
-    /// Count a resolution served by an external cache tier (the manager's
-    /// envelope path cache) so `resolves` keeps meaning "paths resolved",
-    /// not "paths walked".
-    pub fn meta_bump_resolve(&self) {
-        self.meta.bump_resolves();
-    }
-
     /// Current namespace generation (see the `ns_gen` field).
     #[inline]
     pub fn ns_gen(&self) -> u64 {
@@ -903,16 +896,30 @@ impl FsCore {
     }
 
     /// List a directory's entry names by id, sorted (hash-map entry order is
-    /// arbitrary; readdir output is part of the observable results).
+    /// arbitrary; readdir output is part of the observable results). Sorts
+    /// borrowed interned names and allocates only the output strings.
     pub fn readdir_id(&self, id: InodeId) -> Result<Vec<String>, FsError> {
         match &self.inode(id)?.kind {
             InodeKind::Dir { entries } => {
-                let mut names: Vec<String> = entries
+                // Each name is keyed by its first 8 bytes, big-endian and
+                // zero-padded: comparing keys agrees with comparing the
+                // names, so the sort touches the (scattered) name strings
+                // only to break ties between names sharing those 8 bytes.
+                let mut names: Vec<(u64, &str)> = entries
                     .keys()
-                    .map(|&n| self.names.resolve(n).to_string())
+                    .map(|&n| {
+                        let name = self.names.resolve(n);
+                        let mut head = [0u8; 8];
+                        let k = name.len().min(8);
+                        head[..k].copy_from_slice(&name.as_bytes()[..k]);
+                        (u64::from_be_bytes(head), name)
+                    })
                     .collect();
                 names.sort_unstable();
-                Ok(names)
+                Ok(names
+                    .into_iter()
+                    .map(|(_, name)| name.to_string())
+                    .collect())
             }
             InodeKind::File { .. } => Err(FsError::NotADirectory(format!("inode {}", id.0))),
         }
@@ -1697,6 +1704,54 @@ mod tests {
             f.readdir("/d").unwrap(),
             vec!["alpha", "beta", "mu", "omega", "zeta"]
         );
+    }
+
+    #[test]
+    fn readdir_sorts_by_name_not_intern_order() {
+        // Intern the names in reverse lexical order elsewhere first, so
+        // name-id order and creation order both disagree with the listing.
+        let mut f = fs();
+        f.mkdir("/x", owner(), 1).unwrap();
+        // Names longer than 8 bytes that share their first 8, a name that
+        // is a prefix of another, and upper case (sorts before lower).
+        let names = [
+            "zeta",
+            "checkpoint9",
+            "mu",
+            "checkpoint10",
+            "alpha",
+            "Mu",
+            "checkpoint",
+        ];
+        for name in names {
+            f.mkdir(&format!("/x/{name}"), owner(), 1).unwrap();
+        }
+        assert!(f.names.get("zeta").unwrap() < f.names.get("alpha").unwrap());
+        f.mkdir("/d", owner(), 2).unwrap();
+        for name in [
+            "mu",
+            "checkpoint",
+            "alpha",
+            "checkpoint10",
+            "zeta",
+            "Mu",
+            "checkpoint9",
+        ] {
+            f.create_file(&format!("/d/{name}"), owner(), 3).unwrap();
+        }
+        let want = vec![
+            "Mu",
+            "alpha",
+            "checkpoint",
+            "checkpoint10",
+            "checkpoint9",
+            "mu",
+            "zeta",
+        ];
+        let d = f.lookup("/d").unwrap();
+        assert_eq!(f.readdir_id(d).unwrap(), want);
+        assert_eq!(f.readdir("/d").unwrap(), want);
+        assert_eq!(f.readdir("/x").unwrap(), want);
     }
 
     #[test]

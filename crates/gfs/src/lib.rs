@@ -12,6 +12,8 @@
 //! * [`cache`] — client page pool, prefetch, write-behind.
 //! * [`client`] — the operation path (mounts, POSIX-style ops) sequenced
 //!   over simulated RPCs, NSD service and bulk flows.
+//! * [`metaop`] — typed manager ops: what session envelopes, lease
+//!   delegates and the manager's dedup table / WAL carry.
 //! * [`world`] — scenario assembly: clusters, filesystems, clients.
 //!
 //! Additional layers (streaming data path, MPI-IO, SAN-client mode) are in
@@ -26,6 +28,7 @@ pub mod faults;
 pub mod fscore;
 pub mod fsck;
 pub mod hsmlink;
+pub mod metaop;
 pub mod mpiio;
 pub mod oracle;
 pub mod replica;

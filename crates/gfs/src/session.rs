@@ -21,8 +21,10 @@
 //! [`crate::world::WorldBuilder::mount_context`], sessions batch
 //! same-instant metadata RPCs into one *envelope* per `(context, fs)` —
 //! one request message, one watchdog, one response for the whole batch,
-//! with per-op results demuxed in submission order. Exactly-once semantics
-//! are preserved per session op id: a retried envelope replays recorded
+//! with per-op results demuxed in submission order. Each op is a typed
+//! [`MetaOp`] run by one `match` at the manager (or at a lease delegate)
+//! and answered with a [`MetaResult`]. Exactly-once semantics are
+//! preserved per session op id: a retried envelope replays recorded
 //! results from the manager's dedup table instead of re-running mutations.
 //! This is what makes a 100k-session, 10M-op storm affordable: the
 //! simulator pays a handful of events per *envelope* instead of four per
@@ -31,14 +33,15 @@
 use crate::cache::PrefetchState;
 use crate::client;
 use crate::faults::RecoveryWhat;
+use crate::fscore::top_component;
+use crate::metaop::{MetaOp, MetaResult, Reply};
 use crate::types::{ClientId, FsError, FsId, Handle, InodeId, OpenFlags, Owner, SessionId};
-use crate::world::{GfsWorld, OpenFile};
+use crate::world::{GfsWorld, JournalEntry, OpenFile};
 use bytes::Bytes;
 use gfs_auth::handshake::AccessMode;
 use simcore::fxhash::{FxHashMap, FxHashSet};
 use simcore::{Sim, SimDuration};
 use simnet::Network;
-use std::any::Any;
 use std::cell::RefCell;
 use std::rc::Rc;
 
@@ -82,21 +85,17 @@ impl SessionState {
     }
 }
 
-/// One operation inside a fan-in envelope: a type-erased manager-side body
-/// plus the client-side demux callback. `run` returns the op's
-/// `Result<T, FsError>` boxed as `Rc<dyn Any>` — the exact representation
-/// the manager's dedup table stores, so replay hands the recorded `Rc`
-/// straight back to `deliver`.
+/// Where an op's result goes: the caller's continuation, the one box an
+/// op carries.
+type Deliver = Box<dyn FnOnce(&mut Sim<GfsWorld>, &mut GfsWorld, MetaResult)>;
+
+/// One operation inside a fan-in envelope (or a delegate batch): the typed
+/// op plus its envelope bookkeeping and the client-side demux callback.
 pub struct BatchOp {
     op_id: u64,
-    mutating: bool,
     /// Op-id range the manager may retire before running this op: the
     /// session acks delivered results so the dedup table stays bounded.
     ack: Option<(u64, u64)>,
-    /// Top-level namespace component the op touches, for lease-conflict
-    /// detection at the owning manager (empty for ops outside the
-    /// namespace, e.g. token releases).
-    top: Box<str>,
     /// Owning shard of the *other* path of a cross-shard op (rename whose
     /// destination lives elsewhere, mkdir at a shard boundary). `None` for
     /// single-shard ops.
@@ -105,13 +104,10 @@ pub struct BatchOp {
     /// peer shard recovering); bounded so a wedged peer surfaces as
     /// `Timeout` instead of an endless re-poll.
     defers: u32,
-    /// Journal-reconcile replay: the mutation already ran under the lease
-    /// and this op only installs its recorded result (WAL append + dedup
-    /// insert, no path resolution), so the manager charges
-    /// `manager_replay_per_op` instead of the full op service cost.
-    replay: bool,
-    run: Box<dyn FnMut(&mut Sim<GfsWorld>, &mut GfsWorld, FsId, u32) -> Rc<dyn Any>>,
-    deliver: Option<Box<dyn FnOnce(&mut Sim<GfsWorld>, &mut GfsWorld, Result<Rc<dyn Any>, FsError>)>>,
+    op: MetaOp,
+    /// Taken when the result is delivered (the op itself stays in its
+    /// envelope, which a late duplicate attempt may still re-apply).
+    deliver: Option<Deliver>,
 }
 
 /// Manager-RPC fan-in state on the world: per-`(mount ctx, fs, shard)`
@@ -347,15 +343,7 @@ impl Session {
         // The parent directory may live on a different shard (a mkdir at
         // the namespace's first level); routing carries it as the peer so
         // the envelope runs the boundary op as a two-phase record.
-        let parent = match path.rfind('/') {
-            Some(0) | None => "/".to_string(),
-            Some(i) => path[..i].to_string(),
-        };
-        let route = path.clone();
-        self.submit_meta(sim, w, true, route, Some(parent), move |sim, w, fs, shard| {
-            let now = sim.now().as_nanos();
-            client::mkdir_apply_mgr(w, fs, shard, now, &path, &owner)
-        }, cb);
+        self.submit_meta(sim, w, MetaOp::Mkdir { path, owner }, cb);
     }
 
     /// `stat` a path.
@@ -385,10 +373,7 @@ impl Session {
             });
             return;
         }
-        let route = path.clone();
-        self.submit_meta(sim, w, false, route, None, move |_sim, w, fs, shard| {
-            client::stat_apply_mgr(w, fs, shard, &path)
-        }, cb);
+        self.submit_meta(sim, w, MetaOp::Stat { path }, cb);
     }
 
     /// List a directory.
@@ -417,10 +402,7 @@ impl Session {
             });
             return;
         }
-        let route = path.clone();
-        self.submit_meta(sim, w, false, route, None, move |_sim, w, fs, shard| {
-            client::readdir_apply_mgr(w, fs, shard, &path)
-        }, cb);
+        self.submit_meta(sim, w, MetaOp::Readdir { path }, cb);
     }
 
     /// Remove a file or empty directory.
@@ -449,10 +431,7 @@ impl Session {
             });
             return;
         }
-        let route = path.clone();
-        self.submit_meta(sim, w, true, route, None, move |_sim, w, fs, shard| {
-            client::unlink_apply_mgr(w, fs, shard, &path)
-        }, cb);
+        self.submit_meta(sim, w, MetaOp::Unlink { path }, cb);
     }
 
     /// Rename within the bound filesystem.
@@ -486,11 +465,7 @@ impl Session {
         // A rename coordinates at the source's owning shard; when the
         // destination hashes elsewhere the envelope runs it as a two-phase
         // op, charging and journaling on both managers.
-        let route = from.clone();
-        let peer = to.clone();
-        self.submit_meta(sim, w, true, route, Some(peer), move |_sim, w, fs, _shard| {
-            client::rename_apply_mgr(w, fs, &from, &to)
-        }, cb);
+        self.submit_meta(sim, w, MetaOp::Rename { from, to }, cb);
     }
 
     /// Open (and possibly create) a file. The handle is shared-context
@@ -527,17 +502,10 @@ impl Session {
             return;
         }
         let path2 = path.clone();
-        let route = path.clone();
         self.submit_meta(
             sim,
             w,
-            flags.writes(),
-            route,
-            None,
-            move |sim, w, fs, shard| {
-                let now = sim.now().as_nanos();
-                client::open_apply_mgr(w, fs, shard, now, &path, flags, &owner)
-            },
+            MetaOp::Open { path, flags, owner },
             move |sim, w, r: Result<(FsId, InodeId), FsError>| match r {
                 Ok((fs, inode)) => {
                     let h = w.alloc_handle();
@@ -581,13 +549,16 @@ impl Session {
             });
             return;
         }
-        let Some(of) = w.clients[ctx.0 as usize].handles.get(&handle).cloned() else {
+        let Some((fs, inode)) = w.clients[ctx.0 as usize]
+            .handles
+            .get(&handle)
+            .map(|of| (of.fs, of.inode))
+        else {
             self.enter(w);
             self.exit(w);
             cb(sim, w, Err(FsError::BadHandle));
             return;
         };
-        let (fs, inode) = (of.fs, of.inode);
         self.enter(w);
         // Write-behind pages flush first, exactly as the per-client path
         // does; the token release then rides a fan-in envelope.
@@ -617,13 +588,8 @@ impl Session {
                 w,
                 fs,
                 0,
-                "".into(),
                 None,
-                true,
-                move |_sim, w, fs, _shard| {
-                    w.fss[fs.0 as usize].tokens.release_all(inode, ctx);
-                    Ok(())
-                },
+                MetaOp::ReleaseTokens { inode, ctx },
                 move |sim, w, r: Result<(), FsError>| {
                     if r.is_ok() {
                         let c = &mut w.clients[ctx.0 as usize];
@@ -722,31 +688,30 @@ impl Session {
     }
 
     /// Fan-in metadata submit against the session's bound device: mount +
-    /// access-mode preflight, then shard routing. `route` is the path the
-    /// op primarily touches (it picks the owning manager), `peer_route`
-    /// the secondary path of a potentially cross-shard op. When the mount
-    /// context holds a subtree lease covering `route` and the op stays
-    /// within one shard, the op runs at the site-local delegate instead of
-    /// crossing to the manager at all.
-    #[allow(clippy::too_many_arguments)]
-    fn submit_meta<T: Clone + 'static>(
+    /// access-mode preflight, then shard routing by the op's route and
+    /// peer route. When the mount context holds a subtree lease covering
+    /// the op and the op stays within that subtree, it runs at the
+    /// site-local delegate instead of crossing to the manager at all.
+    fn submit_meta<T: Reply + 'static>(
         self,
         sim: &mut Sim<GfsWorld>,
         w: &mut GfsWorld,
-        needs_write: bool,
-        route: String,
-        peer_route: Option<String>,
-        mut run: impl FnMut(&mut Sim<GfsWorld>, &mut GfsWorld, FsId, u32) -> Result<T, FsError> + 'static,
+        op: MetaOp,
         cb: impl FnOnce(&mut Sim<GfsWorld>, &mut GfsWorld, Result<T, FsError>) + 'static,
     ) {
         self.enter(w);
         let ctx = self.ctx(w);
-        // Borrow the bound device in place — no per-op String clone.
-        let m = match self.state(w).device.as_deref() {
-            Some(dev) => client::mount_of(w, ctx, dev),
+        // Borrow the bound device and its mount in place — no per-op
+        // clones.
+        let mount = match self.state(w).device.as_deref() {
+            Some(dev) => w.clients[ctx.0 as usize]
+                .mounts
+                .get(dev)
+                .map(|m| (m.fs, m.mode))
+                .ok_or_else(|| FsError::NotMounted(dev.to_string())),
             None => Err(FsError::NotMounted("no device bound to session".to_string())),
         };
-        let m = match m {
+        let (fs, mode) = match mount {
             Ok(m) => m,
             Err(e) => {
                 self.exit(w);
@@ -754,20 +719,19 @@ impl Session {
                 return;
             }
         };
-        if needs_write && m.mode == AccessMode::ReadOnly {
+        if op.mutating() && mode == AccessMode::ReadOnly {
             self.exit(w);
             cb(sim, w, Err(FsError::ReadOnly));
             return;
         }
-        let (shard, peer, top) = {
-            let sm = &w.fss[m.fs.0 as usize].core.shards;
-            let shard = sm.shard_of(&route);
-            let peer = peer_route
-                .as_deref()
+        let (shard, peer) = {
+            let sm = &w.fss[fs.0 as usize].core.shards;
+            let shard = sm.shard_of(op.route());
+            let peer = op
+                .peer_route()
                 .map(|p| sm.shard_of(p))
                 .filter(|&b| b != shard);
-            let top: Box<str> = crate::fscore::top_component(&route).into();
-            (shard, peer, top)
+            (shard, peer)
         };
         // Writeback-delegate fast path: the context leases this subtree
         // and the op stays entirely inside it — serve it at the site-local
@@ -778,43 +742,20 @@ impl Session {
         // the lease term clears the mirror. Ops whose secondary path leaves
         // the subtree (cross-top renames, even same-shard ones) never
         // delegate — the lease does not cover the other end.
-        let delegate = {
-            let same_subtree = peer.is_none()
-                && peer_route
-                    .as_deref()
-                    .is_none_or(|p| crate::fscore::top_component(p) == top.as_ref());
-            let c = &w.clients[ctx.0 as usize];
-            same_subtree && !c.leases.is_empty() && c.leases.contains(&(m.fs, top.clone()))
-        };
+        let delegate = peer.is_none()
+            && op.peer_route().is_none_or(|p| top_component(p) == op.top())
+            && w.clients[ctx.0 as usize].holds_lease(fs, op.top());
         if delegate {
-            let fs = m.fs;
             let op_id = self.next_delegate_op_id(w);
             w.fss[fs.0 as usize].delegated_ops += 1;
             w.fanin.delegated += 1;
             let op = BatchOp {
                 op_id,
-                mutating: needs_write,
                 ack: None,
-                top,
                 peer: None,
                 defers: 0,
-                replay: false,
-                // Capture the routed shard: delegate application charges no
-                // manager, but run bodies key path caches by shard.
-                run: Box::new(move |sim, w, fs, _s| {
-                    Rc::new(run(sim, w, fs, shard)) as Rc<dyn Any>
-                }),
-                deliver: Some(Box::new(move |sim, w, r| {
-                    let out: Result<T, FsError> = match r {
-                        Ok(rc) => match rc.downcast::<Result<T, FsError>>() {
-                            Ok(rc) => Rc::try_unwrap(rc).unwrap_or_else(|rc| (*rc).clone()),
-                            Err(_) => panic!("delegate op journaled a different result type"),
-                        },
-                        Err(e) => Err(e),
-                    };
-                    self.exit(w);
-                    cb(sim, w, out);
-                })),
+                op,
+                deliver: Some(self.deliver(cb)),
             };
             submit_delegate(sim, w, ctx, fs, op);
             return;
@@ -826,56 +767,48 @@ impl Session {
         // letting them vote at full weight here would make the policy
         // strip the delegates' home shard of far more authority than the
         // cheap replays ever put on it.
-        if w.fss[m.fs.0 as usize].core.shards.shards() > 1 {
-            w.fss[m.fs.0 as usize].core.shards.note_heat(&route);
+        if w.fss[fs.0 as usize].core.shards.shards() > 1 {
+            w.fss[fs.0 as usize].core.shards.note_heat(op.route());
         }
-        self.submit_mgr(sim, w, m.fs, shard, top, peer, needs_write, run, cb);
+        self.submit_mgr(sim, w, fs, shard, peer, op, cb);
     }
 
     /// Enqueue one manager op into the `(ctx, fs, shard)` envelope forming
     /// this instant (the caller has already done any preflight). The first
     /// op of an instant schedules the same-instant flush event.
-    #[allow(clippy::too_many_arguments)]
-    fn submit_mgr<T: Clone + 'static>(
+    fn submit_mgr<T: Reply + 'static>(
         self,
         sim: &mut Sim<GfsWorld>,
         w: &mut GfsWorld,
         fs: FsId,
         shard: u32,
-        top: Box<str>,
         peer: Option<u32>,
-        mutating: bool,
-        mut run: impl FnMut(&mut Sim<GfsWorld>, &mut GfsWorld, FsId, u32) -> Result<T, FsError> + 'static,
+        op: MetaOp,
         cb: impl FnOnce(&mut Sim<GfsWorld>, &mut GfsWorld, Result<T, FsError>) + 'static,
     ) {
         let ctx = self.ctx(w);
         let (op_id, ack) = self.next_op_id(w);
         let op = BatchOp {
             op_id,
-            mutating,
             ack,
-            top,
             peer,
             defers: 0,
-            replay: false,
-            run: Box::new(move |sim, w, fs, shard| Rc::new(run(sim, w, fs, shard)) as Rc<dyn Any>),
-            deliver: Some(Box::new(move |sim, w, r| {
-                // Move the result out of the `Rc` when this delivery holds
-                // the only reference (always true for unrecorded reads —
-                // the readdir name vector is never cloned); fall back to a
-                // clone when the dedup table still holds the other one.
-                let out: Result<T, FsError> = match r {
-                    Ok(rc) => match rc.downcast::<Result<T, FsError>>() {
-                        Ok(rc) => Rc::try_unwrap(rc).unwrap_or_else(|rc| (*rc).clone()),
-                        Err(_) => panic!("batch op replayed with a different result type"),
-                    },
-                    Err(e) => Err(e),
-                };
-                self.exit(w);
-                cb(sim, w, out);
-            })),
+            op,
+            deliver: Some(self.deliver(cb)),
         };
         submit_batch(sim, w, ctx, fs, shard, op);
+    }
+
+    /// The op's continuation: leave the session, hand the caller its
+    /// typed result.
+    fn deliver<T: Reply + 'static>(
+        self,
+        cb: impl FnOnce(&mut Sim<GfsWorld>, &mut GfsWorld, Result<T, FsError>) + 'static,
+    ) -> Deliver {
+        Box::new(move |sim, w, r| {
+            self.exit(w);
+            cb(sim, w, r.map(T::from_reply));
+        })
     }
 
     /// Acquire a subtree lease (on the top-level component of `path`) for
@@ -1083,23 +1016,24 @@ fn submit_delegate(sim: &mut Sim<GfsWorld>, w: &mut GfsWorld, ctx: ClientId, fs:
             let done = start + w.costs.manager_op_service * n;
             c.delegate_busy_until = done;
             sim.at(done, move |sim, w| {
-                for mut op in ops {
-                    let r = (op.run)(sim, w, fs, 0);
+                let now = sim.now().as_nanos();
+                for op in ops {
+                    let r = op.op.apply(w, fs, now);
                     let c = &mut w.clients[ctx.0 as usize];
                     c.delegate_inflight -= 1;
                     // Journal mutations only while the lease still stands —
                     // an expulsion mid-batch already discarded the journal,
                     // and a record with no lease would never reconcile.
-                    if op.mutating && c.leases.contains(&(fs, op.top.clone())) {
-                        c.journal.push(crate::world::JournalEntry {
+                    if op.op.mutating() && c.holds_lease(fs, op.op.top()) {
+                        c.journal.push(JournalEntry {
                             fs,
-                            top: op.top.clone(),
+                            top: op.op.top().into(),
                             op_id: op.op_id,
-                            result: r.clone(),
+                            result: op.op.record_of(&r),
                         });
                     }
-                    if let Some(d) = op.deliver.take() {
-                        d(sim, w, Ok(r));
+                    if let Some(d) = op.deliver {
+                        d(sim, w, r);
                     }
                 }
                 // Watermark writeback: once the journal grows past the
@@ -1127,10 +1061,11 @@ fn submit_delegate(sim: &mut Sim<GfsWorld>, w: &mut GfsWorld, ctx: ClientId, fs:
 
 /// Replay the context's delegate journal for `(fs, top)` to the subtree's
 /// owning manager shard as one bulk envelope, then run `done`. Each
-/// journal entry becomes a result-returning batch op under its original
-/// session op id: the manager records it through the ordinary dedup
-/// table, so a crash mid-reconcile retries the whole envelope and replays
-/// — never re-records — entries the first attempt already landed.
+/// journal entry becomes a [`MetaOp::Replay`] under its original session
+/// op id, carrying the journal's shared result: the manager records that
+/// copy through the ordinary dedup table, so a crash mid-reconcile
+/// retries the whole envelope and replays — never re-records — entries
+/// the first attempt already landed.
 /// Exactly-once costs nothing new here; it is the same machinery every
 /// envelope mutation already rides.
 pub(crate) fn reconcile_journal(
@@ -1141,15 +1076,10 @@ pub(crate) fn reconcile_journal(
     top: Box<str>,
     done: Box<dyn FnOnce(&mut Sim<GfsWorld>, &mut GfsWorld)>,
 ) {
-    let mut entries: Vec<(u64, Rc<dyn Any>)> = Vec::new();
-    w.clients[ctx.0 as usize].journal.retain(|e| {
-        if e.fs == fs && e.top == top {
-            entries.push((e.op_id, e.result.clone()));
-            false
-        } else {
-            true
-        }
-    });
+    let entries: Vec<JournalEntry> = w.clients[ctx.0 as usize]
+        .journal
+        .extract_if(.., |e| e.fs == fs && e.top == top)
+        .collect();
     if entries.is_empty() {
         done(sim, w);
         return;
@@ -1165,23 +1095,18 @@ pub(crate) fn reconcile_journal(
     }
     let left = Rc::new(std::cell::Cell::new(entries.len()));
     let done = Rc::new(RefCell::new(Some(done)));
-    for (op_id, result) in entries {
+    for e in entries {
         let left = left.clone();
         let done = done.clone();
         let op = BatchOp {
-            op_id,
-            mutating: true,
+            op_id: e.op_id,
             ack: None,
-            top: top.clone(),
             peer: None,
             defers: 0,
-            replay: true,
-            run: Box::new(move |_sim, w, fs, _shard| {
-                // Executed only when the dedup table has no record yet —
-                // the counter is the proof each entry applied exactly once.
-                w.fss[fs.0 as usize].reconcile_ops += 1;
-                result.clone()
-            }),
+            op: MetaOp::Replay {
+                top: e.top,
+                result: e.result,
+            },
             deliver: Some(Box::new(move |sim, w, _r| {
                 left.set(left.get() - 1);
                 if left.get() == 0 {
@@ -1293,7 +1218,10 @@ fn envelope_attempt(
         // produced, just later on the clock.
         let (n_live, n_replay) = {
             let ops = env2.borrow();
-            let nr = ops.iter().filter(|o| o.replay).count() as u64;
+            let nr = ops
+                .iter()
+                .filter(|o| matches!(o.op, MetaOp::Replay { .. }))
+                .count() as u64;
             (ops.len() as u64 - nr, nr)
         };
         let svc = w.costs.manager_op_service * n_live + w.costs.manager_replay_per_op * n_replay;
@@ -1313,27 +1241,25 @@ fn envelope_attempt(
                     return;
                 }
             }
-            // Apply (or replay) every op in submission order. Results
-            // travel to the response event as the same `Rc<dyn Any>` the
-            // dedup table records, so a retried envelope demuxes
-            // identically. `None` marks an op deferred by a lease conflict
-            // or an unavailable peer shard — delivered to nobody, it is
-            // re-queued when the response lands.
-            let n = env2.borrow().len();
-            let mut results: Vec<Option<Rc<dyn Any>>> = Vec::with_capacity(n);
+            // Apply (or replay) every op in submission order. A mutation's
+            // result is recorded once, shared by the dedup table, the WAL
+            // and a two-phase peer's commit record, so a retried envelope
+            // demuxes identically; read-only ops are never recorded and
+            // skip the dedup probe. `None` marks an op deferred by a lease
+            // conflict or an unavailable peer shard — delivered to nobody,
+            // it is re-queued when the response lands.
+            let ops = env2.borrow();
+            let mut results: Vec<Option<MetaResult>> = Vec::with_capacity(ops.len());
             // Two-phase ops wait for their peer's service slot; the
             // envelope's response leaves when the last peer commit is in.
             let mut response_at = sim.now();
-            for i in 0..n {
-                let (op_id, mutating, ack, peer) = {
-                    let ops = env2.borrow();
-                    (ops[i].op_id, ops[i].mutating, ops[i].ack, ops[i].peer)
-                };
+            let now = sim.now().as_nanos();
+            for op in ops.iter() {
                 // Acked history first: results the session has proven
                 // delivered are retired before anything else runs. Re-runs
                 // on an envelope retry are no-ops (the ids are already
                 // gone).
-                if let Some((lo, hi)) = ack {
+                if let Some((lo, hi)) = op.ack {
                     w.fss[fs.0 as usize].mgrs[shard as usize].retire(lo, hi);
                 }
                 // A subtree leased to someone else's delegate: the op must
@@ -1344,36 +1270,39 @@ fn envelope_attempt(
                     if inst.leases.is_empty() {
                         None
                     } else {
-                        let top = &env2.borrow()[i].top;
-                        inst.leases.get(top).copied().filter(|&h| h != ctx)
+                        inst.leases.get(op.op.top()).copied().filter(|&h| h != ctx)
                     }
                 };
                 if let Some(holder) = conflict {
-                    let top = env2.borrow()[i].top.clone();
-                    client::start_lease_break(sim, w, fs, top, holder);
+                    client::start_lease_break(sim, w, fs, op.op.top().into(), holder);
                     results.push(None);
                     continue;
                 }
                 // A cross-shard op needs its peer manager up to take the
                 // commit record; during the peer's WAL replay the op waits.
-                if let Some(b) = peer {
+                if let Some(b) = op.peer {
                     if !w.fss[fs.0 as usize].manager_available(b) {
                         results.push(None);
                         continue;
                     }
                 }
-                let r = match w.fss[fs.0 as usize].mgrs[shard as usize].applied_result(op_id) {
+                let mutating = op.op.mutating();
+                let recorded = if mutating {
+                    w.fss[fs.0 as usize].mgrs[shard as usize]
+                        .applied_result(op.op_id)
+                        .cloned()
+                } else {
+                    None
+                };
+                let r = match recorded {
                     Some(r) => r,
                     None => {
-                        let r = {
-                            let mut ops = env2.borrow_mut();
-                            let run = &mut ops[i].run;
-                            run(sim, w, fs, shard)
-                        };
-                        if mutating {
-                            w.fss[fs.0 as usize].mgrs[shard as usize].record(op_id, r.clone());
+                        let r = op.op.apply(w, fs, now);
+                        let rec = mutating.then(|| op.op.record_of(&r));
+                        if let Some(rec) = &rec {
+                            w.fss[fs.0 as usize].mgrs[shard as usize].record(op.op_id, rec.clone());
                         }
-                        if let Some(b) = peer {
+                        if let Some(b) = op.peer {
                             // Two-phase commit record: the peer journals the
                             // already-validated result under the same op id,
                             // so either manager can replay the op after a
@@ -1388,8 +1317,8 @@ fn envelope_attempt(
                             let pm = &mut inst.mgrs[b as usize];
                             pm.busy_until =
                                 pm.busy_until.max(sim.now()) + w.costs.manager_replay_per_op;
-                            if mutating {
-                                pm.record(op_id, r.clone());
+                            if let Some(rec) = rec {
+                                pm.record(op.op_id, rec);
                             }
                             inst.cross_shard_ops += 1;
                             response_at = response_at.max(pdone);
@@ -1399,6 +1328,7 @@ fn envelope_attempt(
                 };
                 results.push(Some(r));
             }
+            drop(ops);
             let respond = move |sim: &mut Sim<GfsWorld>, w: &mut GfsWorld| {
                 let rpcb = w.costs.rpc_bytes;
                 Network::send_msg(sim, w, mgr, from, rpcb, move |sim, w| {
@@ -1413,33 +1343,30 @@ fn envelope_attempt(
                     // deferred ops are peeled off and re-queued as fresh
                     // envelopes (same op id — exactly-once holds), the
                     // rest demux their results.
-                    let n = env2.borrow().len();
                     for (i, r) in results.into_iter().enumerate() {
                         match r {
                             Some(r) => {
                                 let d = env2.borrow_mut()[i].deliver.take();
                                 if let Some(d) = d {
-                                    d(sim, w, Ok(r));
+                                    d(sim, w, r);
                                 }
                             }
                             None => {
-                                let mut ops = env2.borrow_mut();
-                                let op = &mut ops[i];
-                                let mut requeued = BatchOp {
-                                    op_id: op.op_id,
-                                    mutating: op.mutating,
-                                    ack: None,
-                                    top: op.top.clone(),
-                                    peer: op.peer,
-                                    defers: op.defers + 1,
-                                    replay: op.replay,
-                                    run: std::mem::replace(
-                                        &mut op.run,
-                                        Box::new(|_, _, _, _| unreachable!("requeued op re-run")),
-                                    ),
-                                    deliver: op.deliver.take(),
+                                // The op stays in this envelope for any late
+                                // duplicate attempt; the re-queued copy owns
+                                // the delivery.
+                                let mut requeued = {
+                                    let mut ops = env2.borrow_mut();
+                                    let op = &mut ops[i];
+                                    BatchOp {
+                                        op_id: op.op_id,
+                                        ack: None,
+                                        peer: op.peer,
+                                        defers: op.defers + 1,
+                                        op: op.op.clone(),
+                                        deliver: op.deliver.take(),
+                                    }
                                 };
-                                drop(ops);
                                 if requeued.defers > MAX_DEFERS {
                                     if let Some(d) = requeued.deliver.take() {
                                         d(sim, w, Err(FsError::Timeout));
@@ -1452,7 +1379,6 @@ fn envelope_attempt(
                             }
                         }
                     }
-                    debug_assert_eq!(n, env2.borrow().len());
                 });
             };
             if response_at > sim.now() {
@@ -1472,7 +1398,7 @@ mod tests {
     use crate::world::{FsParams, WorldBuilder};
     use bytes::Bytes;
     use simcore::{Bandwidth, SimDuration};
-    use std::cell::Cell;
+    use std::cell::{Cell, RefCell};
 
     struct Bed {
         sim: Sim<GfsWorld>,
@@ -1483,6 +1409,12 @@ mod tests {
     /// One cluster, one manager/NSD node, one mount context carrying
     /// `n_sessions` flyweight sessions.
     fn bed(n_sessions: usize) -> Bed {
+        bed_sharded(n_sessions, 1)
+    }
+
+    /// [`bed`] with the namespace split over `managers` shards (all
+    /// homed on the one manager node).
+    fn bed_sharded(n_sessions: usize, managers: u32) -> Bed {
         let mut b = WorldBuilder::new(7);
         b.key_bits(384);
         let mgr = b.topo().node("mgr");
@@ -1495,16 +1427,15 @@ mod tests {
             "lan",
         );
         let site = b.cluster("site.teragrid");
-        b.filesystem(
-            site,
-            FsParams::ideal(
-                FsConfig::small_test("gpfs0"),
-                mgr,
-                vec![mgr],
-                Bandwidth::mbyte(400.0),
-                SimDuration::from_micros(300),
-            ),
+        let mut p = FsParams::ideal(
+            FsConfig::small_test("gpfs0"),
+            mgr,
+            vec![mgr],
+            Bandwidth::mbyte(400.0),
+            SimDuration::from_micros(300),
         );
+        p.managers = managers;
+        b.filesystem(site, p);
         let ctx = b.mount_context(site, cn, 256);
         let ids: Vec<_> = (0..n_sessions).map(|_| b.session(ctx)).collect();
         let (sim, w) = b.build();
@@ -1566,47 +1497,202 @@ mod tests {
         }
     }
 
+    /// Starve attempt 0 of the next envelope: the watchdog fires before
+    /// the ~100µs RTT completes, so the response is dropped and the
+    /// envelope retries — after the manager already applied and recorded
+    /// the op. A sane timeout is restored before the backoff (>= 50ms)
+    /// fires, so attempt 1 can complete.
+    fn starve_first_attempt(sim: &mut Sim<GfsWorld>, w: &mut GfsWorld) {
+        w.costs.request_timeout = SimDuration::from_micros(1);
+        sim.after(SimDuration::from_millis(10), |_sim, w| {
+            w.costs.request_timeout = SimDuration::from_millis(1500);
+        });
+    }
+
     #[test]
     fn retried_envelope_replays_from_dedup_table() {
         let mut t = bed(1);
         let s = t.sessions[0];
-        let ran = Rc::new(Cell::new(0u32));
-        let ran2 = ran.clone();
-        let got = Rc::new(Cell::new(0u32));
+        let got = Rc::new(RefCell::new(None));
         let got2 = got.clone();
         mounted(&mut t, move |sim, w| {
-            // Starve attempt 0: the watchdog fires before the ~100µs RTT
-            // completes, so the response is dropped and the envelope
-            // retries — but the manager has already applied + recorded the
-            // op, so the retry must replay, not re-run.
-            w.costs.request_timeout = SimDuration::from_micros(1);
-            s.enter(w);
-            s.submit_mgr(
-                sim,
-                w,
-                FsId(0),
-                0,
-                "".into(),
-                None,
-                true,
-                move |_sim, _w, _fs, _shard| {
-                    ran2.set(ran2.get() + 1);
-                    Ok(42u32)
-                },
-                move |_sim, _w, r: Result<u32, FsError>| {
-                    got2.set(r.unwrap());
-                },
-            );
-            // Restore a sane timeout before the backoff (>= 50ms) fires,
-            // so attempt 1 can actually complete.
-            sim.after(SimDuration::from_millis(10), |_sim, w| {
-                w.costs.request_timeout = SimDuration::from_millis(1500);
+            starve_first_attempt(sim, w);
+            s.mkdir(sim, w, "/d", owner(), move |_sim, _w, r| {
+                *got2.borrow_mut() = Some(r);
             });
         });
-        assert_eq!(got.get(), 42, "retried op must still deliver its result");
-        assert_eq!(ran.get(), 1, "mutating op must run exactly once across retries");
-        assert!(t.w.fanin.retries >= 1, "the starved attempt must have retried");
+        // A re-run would have answered AlreadyExists; the replay hands
+        // back the recorded inode.
+        let id = t.w.fss[0].core.lookup("/d").unwrap();
+        assert_eq!(
+            *got.borrow(),
+            Some(Ok(id)),
+            "retried op must deliver its recorded result"
+        );
+        assert_eq!(
+            t.w.fss[0].mgrs[0].wal_len(),
+            1,
+            "mutating op must run exactly once across retries"
+        );
+        assert!(
+            t.w.fanin.retries >= 1,
+            "the starved attempt must have retried"
+        );
         assert_eq!(t.sessions[0].state(&t.w).inflight_ops, 0);
+    }
+
+    #[test]
+    fn retried_envelope_replays_a_recorded_error() {
+        let mut t = bed(1);
+        let s = t.sessions[0];
+        t.w.fss[0].core.mkdir("/d", owner(), 0).unwrap();
+        let resolves0 = t.w.fss[0].core.meta_snapshot().resolves;
+        let got = Rc::new(RefCell::new(None));
+        let got2 = got.clone();
+        mounted(&mut t, move |sim, w| {
+            starve_first_attempt(sim, w);
+            s.mkdir(sim, w, "/d", owner(), move |_sim, _w, r| {
+                *got2.borrow_mut() = Some(r);
+            });
+        });
+        assert_eq!(
+            *got.borrow(),
+            Some(Err(FsError::AlreadyExists("/d".to_string()))),
+            "the retry must replay the recorded error identically"
+        );
+        assert!(
+            t.w.fanin.retries >= 1,
+            "the starved attempt must have retried"
+        );
+        assert_eq!(
+            t.w.fss[0].mgrs[0].wal_len(),
+            1,
+            "the failed mkdir is recorded once"
+        );
+        assert_eq!(
+            t.w.fss[0].core.meta_snapshot().resolves - resolves0,
+            1,
+            "the op must resolve (run) exactly once"
+        );
+    }
+
+    #[test]
+    fn delegate_journal_reconciles_through_typed_results() {
+        let mut t = bed(4);
+        let sessions = t.sessions.clone();
+        t.w.fss[0].core.mkdir("/proj", owner(), 0).unwrap();
+        t.w.fss[0].core.mkdir("/proj/taken", owner(), 0).unwrap();
+        let s0 = sessions[0];
+        let results = Rc::new(RefCell::new(Vec::new()));
+        let results2 = results.clone();
+        mounted(&mut t, move |sim, w| {
+            s0.acquire_lease(sim, w, "/proj", move |sim, w, r| {
+                r.unwrap();
+                // Three fresh dirs, one collision (a journaled error) and a
+                // stat (delegated, never journaled) in one delegate batch.
+                for (i, s) in sessions.iter().enumerate() {
+                    let name = if i == 3 {
+                        "/proj/taken".to_string()
+                    } else {
+                        format!("/proj/d{i}")
+                    };
+                    let out = results2.clone();
+                    s.mkdir(sim, w, &name, owner(), move |_sim, _w, r| {
+                        out.borrow_mut().push(r.map(|_| ()));
+                    });
+                }
+                s0.stat(sim, w, "/proj/taken", |_sim, _w, r| {
+                    assert!(r.unwrap().is_dir)
+                });
+            });
+        });
+        let ctx = t.sessions[0].ctx(&t.w);
+        assert_eq!(t.w.fanin.delegated, 5);
+        assert_eq!(results.borrow().iter().filter(|r| r.is_ok()).count(), 3);
+        let journal: Vec<(u64, MetaResult)> = t.w.clients[ctx.0 as usize]
+            .journal
+            .iter()
+            .map(|e| (e.op_id, (*e.result).clone()))
+            .collect();
+        assert_eq!(journal.len(), 4, "mutations journal, the stat does not");
+        assert!(journal
+            .iter()
+            .any(|(_, r)| *r == Err(FsError::AlreadyExists("/proj/taken".to_string()))));
+        let wal0 = t.w.fss[0].mgrs[0].wal_len();
+        let done = Rc::new(Cell::new(false));
+        let done2 = done.clone();
+        t.sessions[0].surrender_lease(&mut t.sim, &mut t.w, "/proj", move |_sim, _w, r| {
+            r.unwrap();
+            done2.set(true);
+        });
+        t.sim.run(&mut t.w);
+        assert!(done.get());
+        let inst = &t.w.fss[0];
+        assert_eq!(
+            inst.reconcile_ops,
+            journal.len() as u64,
+            "each entry applies exactly once"
+        );
+        assert_eq!(inst.mgrs[0].wal_len() - wal0, journal.len());
+        for (op_id, r) in &journal {
+            assert_eq!(
+                inst.mgrs[0].applied_result(*op_id),
+                Some(r),
+                "the manager records the journaled result"
+            );
+        }
+        assert!(t.w.clients[ctx.0 as usize].journal.is_empty());
+    }
+
+    /// A shard that lost a subtree and got it back must not answer from
+    /// what it resolved before: between the moves the other shard
+    /// replaced the entry. (A per-manager path cache once returned the
+    /// dead inode here — `NotFound("inode 2")`.)
+    #[test]
+    fn resolution_survives_a_subtree_round_trip_between_shards() {
+        let mut t = bed_sharded(1, 2);
+        let s = t.sessions[0];
+        {
+            let core = &mut t.w.fss[0].core;
+            core.mkdir("/a", owner(), 0).unwrap();
+            core.mkdir("/a/x", owner(), 0).unwrap();
+            core.shards.assign("a", 0);
+        }
+        let got = Rc::new(RefCell::new(None));
+        let got2 = got.clone();
+        mounted(&mut t, move |sim, w| {
+            s.stat(sim, w, "/a/x", move |sim, w, r| {
+                assert!(r.unwrap().is_dir);
+                w.fss[0].core.shards.assign("a", 1);
+                s.unlink(sim, w, "/a/x", move |sim, w, r| {
+                    r.unwrap();
+                    s.open(
+                        sim,
+                        w,
+                        "/a/x",
+                        OpenFlags::Write,
+                        owner(),
+                        move |sim, w, r| {
+                            let h = r.unwrap();
+                            s.close(sim, w, h, move |sim, w, r| {
+                                r.unwrap();
+                                w.fss[0].core.shards.assign("a", 0);
+                                s.stat(sim, w, "/a/x", move |_sim, _w, r| {
+                                    *got2.borrow_mut() = Some(r);
+                                });
+                            });
+                        },
+                    );
+                });
+            });
+        });
+        let attr = got
+            .borrow_mut()
+            .take()
+            .expect("final stat never completed")
+            .unwrap();
+        assert!(!attr.is_dir, "the re-created file, not the dead directory");
+        assert_eq!(attr.inode, t.w.fss[0].core.lookup("/a/x").unwrap());
     }
 
     #[test]

@@ -7,13 +7,14 @@
 
 use crate::cache::{DentryCache, PagePool, PrefetchState};
 use crate::fscore::{FsConfig, FsCore};
+use crate::metaop::MetaResult;
 use crate::tokens::{ByteRange, TokenManager, TokenMode};
 use crate::types::{ClientId, ClusterId, FsId, Handle, InodeId, NsdId, OpenFlags};
 use gfs_auth::handshake::{AccessMode, ClusterAuth};
 use rand::rngs::StdRng;
 use simcore::{det_rng, Bandwidth, Sim, SimDuration, SimTime};
 use simnet::{NetWorld, Network, NodeId, Topology, TopologyBuilder};
-use simcore::fxhash::{FxFinalHashMap, FxHashMap};
+use simcore::fxhash::FxFinalHashMap;
 use simsan::{Array, ArraySpec};
 use std::any::Any;
 use std::collections::BTreeMap;
@@ -89,30 +90,20 @@ pub struct ManagerState {
     /// arriving in this window are dropped (clients retry).
     pub recovering: bool,
     /// Write-ahead log: `(op id, recorded result)` per acknowledged
-    /// mutation, in application order. Survives crashes.
-    wal: Vec<(u64, Rc<dyn Any>)>,
+    /// mutation, in application order. Survives crashes. Shares each
+    /// result with [`Self::applied`] (one copy per recorded mutation).
+    wal: Vec<(u64, Rc<MetaResult>)>,
     /// Volatile dedup table: op id → recorded result. Wiped by a crash,
     /// rebuilt from the WAL by recovery. Keyed by composed op ids (actor
     /// in the high bits, sequence low), so it needs the finalizing hasher
     /// — plain multiplicative Fx collapses this population onto a few
     /// buckets once sessions number in the thousands.
-    applied: FxFinalHashMap<u64, Rc<dyn Any>>,
+    applied: FxFinalHashMap<u64, Rc<MetaResult>>,
     /// WAL entries whose results have been retired (see [`Self::retire`])
     /// but not yet reclaimed by compaction.
     retired: u64,
     /// Total WAL entries replayed across all recoveries (observability).
     pub replayed: u64,
-    /// The acting manager's own path → inode cache, used when applying
-    /// fan-in envelopes (`crate::session`). Client dentry caches stay
-    /// coherent through invalidation broadcasts plus the namespace
-    /// generation (a wholesale tag that any unlink bumps); the manager
-    /// needs neither, because it applies every namespace mutation itself
-    /// and can therefore invalidate *exactly*: unlink removes the one
-    /// dead path (an unlinked directory is empty, so no cached descendant
-    /// can exist — each was removed at its own unlink), rename moves a
-    /// whole subtree and clears wholesale, and create/mkdir can never
-    /// make a cached positive mapping wrong. Volatile: wiped on crash.
-    paths: FxHashMap<Box<str>, crate::types::InodeId>,
     /// Service queue head for fan-in envelopes: the instant the manager's
     /// CPU frees up. Arriving envelopes start at
     /// `max(now, busy_until)` and run for
@@ -137,41 +128,19 @@ impl ManagerState {
             applied: FxFinalHashMap::default(),
             retired: 0,
             replayed: 0,
-            paths: FxHashMap::default(),
             busy_until: SimTime::from_nanos(0),
             service_ns: 0,
         }
     }
 
-    /// Probe the manager's path cache (see the `paths` field).
-    pub fn cached_path(&self, path: &str) -> Option<crate::types::InodeId> {
-        self.paths.get(path).copied()
-    }
-
-    /// Remember a successful resolution.
-    pub fn cache_path(&mut self, path: &str, id: crate::types::InodeId) {
-        self.paths.insert(path.into(), id);
-    }
-
-    /// Exact invalidation: the entry at `path` is gone (unlink).
-    pub fn uncache_path(&mut self, path: &str) {
-        if !self.paths.is_empty() {
-            self.paths.remove(path);
-        }
-    }
-
-    /// Wholesale invalidation: a subtree moved (rename).
-    pub fn uncache_all_paths(&mut self) {
-        self.paths.clear();
-    }
-
     /// The recorded result of an already-applied op, if any.
-    pub fn applied_result(&self, op_id: u64) -> Option<Rc<dyn Any>> {
-        self.applied.get(&op_id).cloned()
+    pub fn applied_result(&self, op_id: u64) -> Option<&MetaResult> {
+        self.applied.get(&op_id).map(|r| &**r)
     }
 
-    /// Record a mutation's result: WAL append + dedup-table insert.
-    pub fn record(&mut self, op_id: u64, result: Rc<dyn Any>) {
+    /// Record a mutation's result: WAL append + dedup-table insert, both
+    /// holding the one shared copy.
+    pub fn record(&mut self, op_id: u64, result: Rc<MetaResult>) {
         self.wal.push((op_id, result.clone()));
         self.applied.insert(op_id, result);
     }
@@ -210,7 +179,6 @@ impl ManagerState {
     /// The manager node died: volatile state is gone.
     pub fn crash(&mut self) {
         self.applied.clear();
-        self.paths.clear();
         self.busy_until = SimTime::from_nanos(0);
         self.recovering = true;
     }
@@ -528,11 +496,19 @@ pub struct JournalEntry {
     /// the reconcile envelope so the manager dedup table sees retries.
     pub op_id: u64,
     /// The recorded result, exactly what an envelope execution would have
-    /// journaled at the manager.
-    pub result: std::rc::Rc<dyn std::any::Any>,
+    /// recorded at the manager; the reconcile replay records this very
+    /// copy.
+    pub result: Rc<MetaResult>,
 }
 
 impl Client {
+    /// Does this context hold the subtree lease on `top` of `fs`? A
+    /// context holds a handful of leases at most, so a scan beats building
+    /// an owned key for the set lookup on every op.
+    pub fn holds_lease(&self, fs: FsId, top: &str) -> bool {
+        self.leases.iter().any(|(f, t)| *f == fs && **t == *top)
+    }
+
     /// A fresh globally-unique op id for a manager RPC: the client id in
     /// the high 32 bits, a per-client sequence below. Retries of one
     /// operation reuse the id — that is what the manager's dedup table
