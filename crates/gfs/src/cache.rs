@@ -63,6 +63,9 @@ pub struct DirtyPage {
 pub struct PagePool {
     capacity_pages: usize,
     index: HashMap<PageKey, u32>,
+    /// Resident pages per `(fs, inode)`: a file with no entry has none, so
+    /// invalidating or flushing it needs no frame scan.
+    resident: simcore::FxHashMap<(FsId, InodeId), u32>,
     frames: Vec<Frame>,
     free: Vec<u32>,
     head: u32,
@@ -82,6 +85,7 @@ impl PagePool {
         PagePool {
             capacity_pages,
             index: HashMap::new(),
+            resident: simcore::FxHashMap::default(),
             frames: Vec::new(),
             free: Vec::new(),
             head: NIL,
@@ -187,6 +191,13 @@ impl PagePool {
             let f = &mut self.frames[victim as usize];
             f.live = false;
             self.index.remove(&f.key);
+            let file = (f.key.fs, f.key.inode);
+            match self.resident.get_mut(&file) {
+                Some(n) if *n > 1 => *n -= 1,
+                _ => {
+                    self.resident.remove(&file);
+                }
+            }
             self.evictions += 1;
             if f.dirty {
                 evicted.push(DirtyPage {
@@ -224,6 +235,7 @@ impl PagePool {
             }
         };
         self.index.insert(key, i);
+        *self.resident.entry((key.fs, key.inode)).or_insert(0) += 1;
         self.push_mru(i);
         evicted
     }
@@ -237,6 +249,9 @@ impl PagePool {
 
     /// All dirty pages of one file (for fsync/close), sorted by block.
     pub fn dirty_pages_of(&self, fs: FsId, inode: InodeId) -> Vec<DirtyPage> {
+        if !self.resident.contains_key(&(fs, inode)) {
+            return Vec::new();
+        }
         let mut out: Vec<DirtyPage> = self
             .frames
             .iter()
@@ -250,22 +265,26 @@ impl PagePool {
         out
     }
 
-    /// Drop every page of one file (on unlink or revoke).
+    /// Drop every page of one file (on unlink or revoke). A pool holding
+    /// none of its pages answers in O(1); otherwise the file's frames are
+    /// freed in ascending frame order, stopping at the last one.
     pub fn invalidate_file(&mut self, fs: FsId, inode: InodeId) {
-        let doomed: Vec<u32> = self
-            .frames
-            .iter()
-            .enumerate()
-            .filter(|(_, f)| f.live && f.key.fs == fs && f.key.inode == inode)
-            .map(|(i, _)| i as u32)
-            .collect();
-        for i in doomed {
-            self.unlink(i);
-            let f = &mut self.frames[i as usize];
-            f.live = false;
-            f.data = Bytes::new();
-            self.index.remove(&f.key);
-            self.free.push(i);
+        let Some(mut left) = self.resident.remove(&(fs, inode)) else {
+            return;
+        };
+        let mut i = 0;
+        while left > 0 {
+            let f = &self.frames[i];
+            if f.live && f.key.fs == fs && f.key.inode == inode {
+                left -= 1;
+                self.unlink(i as u32);
+                let f = &mut self.frames[i];
+                f.live = false;
+                f.data = Bytes::new();
+                self.index.remove(&f.key);
+                self.free.push(i as u32);
+            }
+            i += 1;
         }
     }
 
@@ -687,6 +706,24 @@ mod tests {
                 self.pages.contains_key(&key)
             }
 
+            pub fn dirty_pages_of(
+                &self,
+                fs: crate::types::FsId,
+                inode: crate::types::InodeId,
+            ) -> Vec<DirtyPage> {
+                let mut out: Vec<DirtyPage> = self
+                    .pages
+                    .iter()
+                    .filter(|(k, (_, dirty))| *dirty && k.fs == fs && k.inode == inode)
+                    .map(|(k, (data, _))| DirtyPage {
+                        key: *k,
+                        data: data.clone(),
+                    })
+                    .collect();
+                out.sort_by_key(|d| d.key.block);
+                out
+            }
+
             pub fn len(&self) -> usize {
                 self.pages.len()
             }
@@ -733,8 +770,15 @@ mod tests {
                     }
                     _ => {
                         if rng.gen::<u64>() % 4 == 0 {
-                            a.invalidate_file(FsId(0), inode);
-                            b.invalidate_file(FsId(0), inode);
+                            // Inodes 3-4 and filesystem 1 are never cached:
+                            // invalidating them must leave the pool as is.
+                            let (fs, inode) = match rng.gen::<u64>() % 4 {
+                                0 => (FsId(1), inode),
+                                1 => (FsId(0), InodeId(3 + rng.gen::<u64>() % 2)),
+                                _ => (FsId(0), inode),
+                            };
+                            a.invalidate_file(fs, inode);
+                            b.invalidate_file(fs, inode);
                         } else {
                             a.mark_clean(k);
                             b.mark_clean(k);
@@ -742,6 +786,11 @@ mod tests {
                     }
                 }
                 assert_eq!(a.len(), b.len(), "seed {seed} step {step}: len");
+                assert_eq!(
+                    a.dirty_pages_of(FsId(0), inode),
+                    b.dirty_pages_of(FsId(0), inode),
+                    "seed {seed} step {step}: dirty pages"
+                );
                 assert_eq!(
                     a.contains(k),
                     b.contains(k),

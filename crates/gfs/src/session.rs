@@ -96,6 +96,9 @@ pub struct BatchOp {
     /// Op-id range the manager may retire before running this op: the
     /// session acks delivered results so the dedup table stays bounded.
     ack: Option<(u64, u64)>,
+    /// Journal replays whose reconcile response the mount context had
+    /// received when this op's envelope formed: retired with the ack.
+    reconciled: Vec<u64>,
     /// Owning shard of the *other* path of a cross-shard op (rename whose
     /// destination lives elsewhere, mkdir at a shard boundary). `None` for
     /// single-shard ops.
@@ -133,6 +136,11 @@ pub struct FanIn {
     /// `(ctx, fs, shard)` keys with a same-instant flush already scheduled
     /// (dedups the flush event across many same-instant submits).
     armed: FxHashSet<(u32, u32, u32)>,
+    /// Journal-replay op ids per `(ctx, fs)` whose reconcile response
+    /// arrived, waiting to ride the context's next envelope to the fs as
+    /// retirement acks (the session's own ack covered them before the
+    /// replay was recorded).
+    reconciled: FxHashMap<(u32, u32), Vec<u64>>,
     /// Delegate batches collecting this instant, keyed by `(ctx, fs)` —
     /// writeback-delegated ops batch exactly like envelopes do, paying a
     /// couple of simulator events per *batch* on the local delegate queue.
@@ -752,6 +760,7 @@ impl Session {
             let op = BatchOp {
                 op_id,
                 ack: None,
+                reconciled: Vec::new(),
                 peer: None,
                 defers: 0,
                 op,
@@ -791,6 +800,7 @@ impl Session {
         let op = BatchOp {
             op_id,
             ack,
+            reconciled: Vec::new(),
             peer,
             defers: 0,
             op,
@@ -953,9 +963,12 @@ fn arm_shard_flush(sim: &mut Sim<GfsWorld>, w: &mut GfsWorld, ctx: ClientId, fs:
 /// Flush one `(ctx, fs, shard)` batch as an envelope (shared by both the
 /// single-shard immediate flush and the wave flush).
 fn flush_shard_batch(sim: &mut Sim<GfsWorld>, w: &mut GfsWorld, ctx: ClientId, fs: FsId, shard: u32) {
-    let ops = w.fanin.pending.remove(&(ctx.0, fs.0, shard)).unwrap_or_default();
+    let mut ops = w.fanin.pending.remove(&(ctx.0, fs.0, shard)).unwrap_or_default();
     if ops.is_empty() {
         return;
+    }
+    if let Some(ids) = w.fanin.reconciled.remove(&(ctx.0, fs.0)) {
+        ops[0].reconciled = ids;
     }
     w.fanin.envelopes += 1;
     w.fanin.envelope_ops += ops.len() as u64;
@@ -1098,9 +1111,11 @@ pub(crate) fn reconcile_journal(
     for e in entries {
         let left = left.clone();
         let done = done.clone();
+        let op_id = e.op_id;
         let op = BatchOp {
-            op_id: e.op_id,
+            op_id,
             ack: None,
+            reconciled: Vec::new(),
             peer: None,
             defers: 0,
             op: MetaOp::Replay {
@@ -1108,6 +1123,11 @@ pub(crate) fn reconcile_journal(
                 result: e.result,
             },
             deliver: Some(Box::new(move |sim, w, _r| {
+                w.fanin
+                    .reconciled
+                    .entry((ctx.0, fs.0))
+                    .or_default()
+                    .push(op_id);
                 left.set(left.get() - 1);
                 if left.get() == 0 {
                     if let Some(d) = done.borrow_mut().take() {
@@ -1259,8 +1279,13 @@ fn envelope_attempt(
                 // delivered are retired before anything else runs. Re-runs
                 // on an envelope retry are no-ops (the ids are already
                 // gone).
-                if let Some((lo, hi)) = op.ack {
-                    w.fss[fs.0 as usize].mgrs[shard as usize].retire(lo, hi);
+                if op.ack.is_some() || !op.reconciled.is_empty() {
+                    for ms in &mut w.fss[fs.0 as usize].mgrs {
+                        if let Some((lo, hi)) = op.ack {
+                            ms.retire(lo..=hi);
+                        }
+                        ms.retire(op.reconciled.iter().copied());
+                    }
                 }
                 // A subtree leased to someone else's delegate: the op must
                 // not run behind the delegate's back. Break the lease
@@ -1361,6 +1386,7 @@ fn envelope_attempt(
                                     BatchOp {
                                         op_id: op.op_id,
                                         ack: None,
+                                        reconciled: Vec::new(),
                                         peer: op.peer,
                                         defers: op.defers + 1,
                                         op: op.op.clone(),
@@ -1642,6 +1668,55 @@ mod tests {
             );
         }
         assert!(t.w.clients[ctx.0 as usize].journal.is_empty());
+    }
+
+    #[test]
+    fn reconciled_replays_retire_with_the_next_envelope() {
+        // A session acks its journaled ops with its next manager op, before
+        // the reconcile records them; the context acks the replays once
+        // their response is in, on its next envelope (here another
+        // session's), and every shard drops them.
+        let mut t = bed_sharded(2, 2);
+        let (s0, s1) = (t.sessions[0], t.sessions[1]);
+        t.w.fss[0].core.mkdir("/proj", owner(), 0).unwrap();
+        mounted(&mut t, move |sim, w| {
+            s0.acquire_lease(sim, w, "/proj", move |sim, w, r| {
+                r.unwrap();
+                for i in 0..3 {
+                    s0.mkdir(sim, w, &format!("/proj/d{i}"), owner(), |_sim, _w, r| {
+                        r.unwrap();
+                    });
+                }
+            });
+        });
+        let ctx = s0.ctx(&t.w);
+        let ids: Vec<u64> = t.w.clients[ctx.0 as usize]
+            .journal
+            .iter()
+            .map(|e| e.op_id)
+            .collect();
+        assert_eq!(ids.len(), 3);
+        let recorded =
+            |w: &GfsWorld, id: u64| w.fss[0].mgrs.iter().any(|m| m.applied_result(id).is_some());
+        s0.stat(&mut t.sim, &mut t.w, "/", |_sim, _w, r| {
+            assert!(r.unwrap().is_dir)
+        });
+        t.sim.run(&mut t.w);
+        s0.surrender_lease(&mut t.sim, &mut t.w, "/proj", |_sim, _w, r| r.unwrap());
+        t.sim.run(&mut t.w);
+        assert!(
+            ids.iter().all(|&id| recorded(&t.w, id)),
+            "the reconcile records each replay"
+        );
+        s1.stat(&mut t.sim, &mut t.w, "/proj/d0", |_sim, _w, r| {
+            assert!(r.unwrap().is_dir)
+        });
+        t.sim.run(&mut t.w);
+        assert!(
+            ids.iter().all(|&id| !recorded(&t.w, id)),
+            "the next envelope retires them"
+        );
+        assert_eq!(t.w.fss[0].reconcile_ops, 3);
     }
 
     /// A shard that lost a subtree and got it back must not answer from

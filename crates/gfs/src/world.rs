@@ -150,17 +150,25 @@ impl ManagerState {
         self.wal.len()
     }
 
-    /// Retire the recorded results in the op-id range `lo..=hi`: the
-    /// submitting session has proven (by sending a later op with nothing
-    /// else in flight) that every result below its current sequence point
-    /// was delivered, so no retry can ever ask for them again. Dropping
-    /// acked history keeps the dedup table O(live sessions) instead of
-    /// O(total ops) — the retirement-floor scheme real fan-in managers
-    /// use. Only session-space op ids (bit 63 set) are ever passed here;
-    /// legacy per-client ops keep their full history, so WAL length and
-    /// recovery-replay accounting for the chaos scenarios are unchanged.
-    pub fn retire(&mut self, lo: u64, hi: u64) {
-        for id in lo..=hi {
+    /// Number of recorded results in the dedup table.
+    pub fn dedup_len(&self) -> usize {
+        self.applied.len()
+    }
+
+    /// Retire the recorded results of `ids`: their requester has proven
+    /// they were delivered, so no retry can ever ask for them again — a
+    /// session acks the range below its current sequence point by sending
+    /// a later op with nothing else in flight, a mount context acks the
+    /// journal replays it saw reconciled. Acks reach every shard of the
+    /// filesystem, which is where two-phase peer records and replays may
+    /// sit. Dropping acked history keeps the dedup table O(live sessions)
+    /// instead of O(total ops) — the retirement-floor scheme real fan-in
+    /// managers use. Only session-space op ids (bit 63 set) are ever
+    /// passed here; legacy per-client ops keep their full history, so WAL
+    /// length and recovery-replay accounting for the chaos scenarios are
+    /// unchanged.
+    pub fn retire(&mut self, ids: impl IntoIterator<Item = u64>) {
+        for id in ids {
             if self.applied.remove(&id).is_some() {
                 self.retired += 1;
             }

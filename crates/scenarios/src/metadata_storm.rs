@@ -360,6 +360,14 @@ pub struct StormReport {
     pub envelopes: u64,
     /// Metadata ops those envelopes carried, summed over points.
     pub envelope_ops: u64,
+    /// Largest dedup table one manager shard held after its point drained,
+    /// **max** over shards and points. Retirement keeps it O(live
+    /// sessions).
+    pub max_shard_dedup: u64,
+    /// Longest WAL one manager shard held after its point drained, **max**
+    /// over shards and points (compaction keeps it within twice the dedup
+    /// table plus 1024 retired entries).
+    pub max_shard_wal: u64,
     /// Simulated race-phase duration, **max** over points: points model
     /// independent sites storming concurrently, so the slowest site bounds
     /// the storm's end-to-end time on the modeled cluster. Deterministic
@@ -434,6 +442,8 @@ struct PointSummary {
     sessions: u64,
     envelopes: u64,
     envelope_ops: u64,
+    max_shard_dedup: u64,
+    max_shard_wal: u64,
     sim_ns: u64,
 }
 
@@ -573,6 +583,8 @@ pub fn run_chaos_storm_with_threads(
         sessions: 0,
         envelopes: 0,
         envelope_ops: 0,
+        max_shard_dedup: 0,
+        max_shard_wal: 0,
         sim_ns: 0,
     };
     for s in &summaries {
@@ -608,6 +620,8 @@ pub fn run_chaos_storm_with_threads(
         r.sessions += s.sessions;
         r.envelopes += s.envelopes;
         r.envelope_ops += s.envelope_ops;
+        r.max_shard_dedup = r.max_shard_dedup.max(s.max_shard_dedup);
+        r.max_shard_wal = r.max_shard_wal.max(s.max_shard_wal);
         r.sim_ns = r.sim_ns.max(s.sim_ns);
     }
     r
@@ -843,6 +857,7 @@ fn run_point(cfg: &StormConfig, chaos: &ChaosSpec, point: u32) -> PointSummary {
     // invariants; violations are reported in the summary and detailed on
     // stderr so a failing chaos test names the broken guarantee.
     let violations = crate::chaos::world_invariants(&run.sim, w);
+    let mgrs = w.fss[fs.0 as usize].mgrs.iter();
     for msg in &violations {
         eprintln!("storm point {point}: invariant violated: {msg}");
     }
@@ -891,6 +906,12 @@ fn run_point(cfg: &StormConfig, chaos: &ChaosSpec, point: u32) -> PointSummary {
         sessions: w.sessions.len() as u64,
         envelopes: w.fanin.envelopes,
         envelope_ops: w.fanin.envelope_ops,
+        max_shard_dedup: mgrs
+            .clone()
+            .map(|m| m.dedup_len() as u64)
+            .max()
+            .unwrap_or(0),
+        max_shard_wal: mgrs.map(|m| m.wal_len() as u64).max().unwrap_or(0),
         sim_ns: tally
             .race_end
             .get()
@@ -1398,6 +1419,36 @@ mod tests {
             r.rebalance_migrations >= 1,
             "the in-storm policy must migrate at least one hot subtree"
         );
+    }
+
+    #[test]
+    fn retirement_keeps_every_shard_bounded_by_live_sessions() {
+        // A session's ack reaches every shard, so the two-phase peer
+        // records of its cross-top renames are retired with the ops they
+        // belong to: after a 4-shard storm drains, no shard's dedup table
+        // holds more than one result per session (its last, unacked op),
+        // however long the sessions ran.
+        for ops_per_client in [24, 96] {
+            let cfg = StormConfig {
+                ops_per_client,
+                ..StormConfig::small()
+                    .with_sessions_per_client(25)
+                    .with_managers(4)
+            };
+            let r = run_storm(&cfg);
+            let sessions = r.sessions / u64::from(cfg.points);
+            assert!(r.cross_shard_ops > 0);
+            assert!(
+                r.max_shard_dedup <= sessions,
+                "{ops_per_client} ops/session: a shard kept {} results for {sessions} sessions",
+                r.max_shard_dedup
+            );
+            assert!(
+                r.max_shard_wal <= 2 * sessions + 1024,
+                "{ops_per_client} ops/session: a shard's WAL kept {} entries",
+                r.max_shard_wal
+            );
+        }
     }
 
     #[test]

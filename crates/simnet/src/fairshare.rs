@@ -12,10 +12,10 @@
 //! ## Incremental solving
 //!
 //! [`Solver`] is the reusable engine: it keeps every scratch buffer between
-//! calls (no allocation on the hot path once warmed up) and decomposes the
-//! flow set into **connected components** — flows joined transitively by
-//! shared links — solving each component with its own fill level. Two
-//! properties follow, and the network layer leans on both:
+//! calls (no allocation on the hot path once warmed up) and fills each
+//! **connected component** — flows joined transitively by shared links,
+//! grouped by [`Components`] — with its own fill level. Two properties
+//! follow, and the network layer leans on both:
 //!
 //! 1. Components are arithmetically independent: a component's rates are a
 //!    pure function of its own flows (in order) and its own links. Re-solving
@@ -25,6 +25,13 @@
 //!    level (no epsilon tolerances), and a cap-frozen flow's rate is its cap
 //!    *exactly* — which lets callers prove small mutations (an uncapped-link
 //!    add, an unsaturated-path remove) leave every other rate untouched.
+//!
+//! ## Per-link rounds
+//!
+//! A water-filling round computes each live link's level once, saturates
+//! the links at the lowest level (or cap), and makes one pass over the
+//! unfrozen flows to freeze the cap-bound, then the link-bound ones, each
+//! in flow order — a fixed accumulation order, so rates are bit-exact.
 
 /// One flow as seen by the solver.
 #[derive(Clone, Debug)]
@@ -50,6 +57,133 @@ pub struct FlatFlow {
     pub cap: f64,
 }
 
+/// No link joined / no component number.
+const NONE: u32 = u32::MAX;
+
+/// Groups flows into connected components with a union-find over link ids.
+/// Scratch persists across uses and resets in time proportional to the
+/// links touched since the last reset.
+#[derive(Default)]
+pub struct Components {
+    /// Union-find parent of a joined link, [`NONE`] for the rest.
+    parent: Vec<u32>,
+    /// Component number of a root link, or [`NONE`].
+    num: Vec<u32>,
+    touched: Vec<u32>,
+    count: u32,
+    keys: Vec<u32>,
+    order: Vec<u32>,
+    ends: Vec<u32>,
+}
+
+impl Components {
+    /// Forget every join and number; links are ids below `n_links`.
+    pub fn reset(&mut self, n_links: usize) {
+        for &l in &self.touched {
+            (self.parent[l as usize], self.num[l as usize]) = (NONE, NONE);
+        }
+        self.touched.clear();
+        self.count = 0;
+        if self.parent.len() < n_links {
+            self.parent.resize(n_links, NONE);
+            self.num.resize(n_links, NONE);
+        }
+    }
+
+    /// Join every link of one flow's path into one component.
+    pub fn join(&mut self, path: impl IntoIterator<Item = u32>) {
+        let mut root = NONE;
+        for l in path {
+            if self.parent[l as usize] == NONE {
+                self.parent[l as usize] = l;
+                self.touched.push(l);
+            }
+            let r = self.find(l);
+            if root == NONE {
+                root = r;
+            } else if r != root {
+                // Deterministic union: smaller root wins.
+                let (lo, hi) = if r < root { (r, root) } else { (root, r) };
+                self.parent[hi as usize] = lo;
+                root = lo;
+            }
+        }
+    }
+
+    /// Path-halving lookup of a joined link's root.
+    fn find(&mut self, mut l: u32) -> u32 {
+        while self.parent[l as usize] != l {
+            let p = self.parent[l as usize];
+            self.parent[l as usize] = self.parent[p as usize];
+            l = self.parent[l as usize];
+        }
+        l
+    }
+
+    /// Number the component of link `l`, if a joined path crosses it; the
+    /// first call for a component assigns the next number. Returns whether
+    /// some path crosses `l`.
+    pub fn number(&mut self, l: u32) -> bool {
+        self.key(l, true) != NONE
+    }
+
+    /// Component number of link `l`, assigning the next one if `assign`.
+    fn key(&mut self, l: u32, assign: bool) -> u32 {
+        if self.parent[l as usize] == NONE {
+            return NONE;
+        }
+        let r = self.find(l) as usize;
+        if assign && self.num[r] == NONE {
+            (self.num[r], self.count) = (self.count, self.count + 1);
+        }
+        self.num[r]
+    }
+
+    /// Group flows by component: `firsts` yields each flow's first link
+    /// (`None` for an empty path, which is left out). With `numbered_only`
+    /// flows of components no [`Components::number`] call reached are left
+    /// out too; otherwise every component is numbered on first sight. Read
+    /// the result from [`Components::order`] and [`Components::ends`].
+    pub fn group(&mut self, firsts: impl IntoIterator<Item = Option<u32>>, numbered_only: bool) {
+        self.keys.clear();
+        for first in firsts {
+            let key = first.map_or(NONE, |l| self.key(l, !numbered_only));
+            self.keys.push(key);
+        }
+        // Counting sort, stable within a component.
+        self.ends.clear();
+        self.ends.resize(self.count as usize, 0);
+        for &k in &self.keys {
+            if k != NONE {
+                self.ends[k as usize] += 1;
+            }
+        }
+        let mut at = 0;
+        for e in &mut self.ends {
+            (*e, at) = (at, at + *e);
+        }
+        self.order.clear();
+        self.order.resize(at as usize, 0);
+        for (i, &k) in self.keys.iter().enumerate() {
+            if k != NONE {
+                self.order[self.ends[k as usize] as usize] = i as u32;
+                self.ends[k as usize] += 1;
+            }
+        }
+    }
+
+    /// Flow indices of the last [`Components::group`], component by
+    /// component, in flow order within each.
+    pub fn order(&self) -> &[u32] {
+        &self.order
+    }
+
+    /// End offset in [`Components::order`] of each component.
+    pub fn ends(&self) -> &[u32] {
+        &self.ends
+    }
+}
+
 /// Reusable max-min solver: scratch buffers persist across calls so the
 /// steady-state solve performs no heap allocation.
 #[derive(Default)]
@@ -57,20 +191,22 @@ pub struct Solver {
     // Per-link scratch, sized to the largest link id seen (+1). Reset lazily
     // through `touched_links` so solve cost scales with the flows' footprint,
     // not the topology size.
-    uf_parent: Vec<u32>,
     active: Vec<u32>,
     frozen_sum: Vec<f64>,
     saturated: Vec<bool>,
-    link_seen: Vec<bool>,
     touched_links: Vec<u32>,
-    // Per-flow scratch.
-    frozen: Vec<bool>,
-    comp: Vec<u32>,
-    order: Vec<u32>,
-    round_frozen: Vec<u32>,
-    // Packing scratch for the `SolverFlow` entry point.
+    // Per-round scratch: live links with their levels, unfrozen flows, and
+    // the round's freezes.
+    live: Vec<u32>,
+    level: Vec<f64>,
+    unfrozen: Vec<u32>,
+    cap_frozen: Vec<u32>,
+    link_frozen: Vec<u32>,
+    // Grouping and packing scratch for the `SolverFlow` entry point.
+    comps: Components,
     flat_paths: Vec<u32>,
     flat_meta: Vec<FlatFlow>,
+    flat_rates: Vec<f64>,
 }
 
 impl Solver {
@@ -80,29 +216,9 @@ impl Solver {
     }
 
     /// Links marked saturated (they froze at least one flow) by the last
-    /// [`Solver::solve`] call, for link ids < the scratch size. Valid until
-    /// the next call.
+    /// solve, for link ids < the scratch size. Valid until the next call.
     pub fn link_saturated(&self, link: u32) -> bool {
         self.saturated.get(link as usize).copied().unwrap_or(false)
-    }
-
-    fn ensure_links(&mut self, nl: usize) {
-        if self.uf_parent.len() < nl {
-            self.uf_parent.resize(nl, 0);
-            self.active.resize(nl, 0);
-            self.frozen_sum.resize(nl, 0.0);
-            self.saturated.resize(nl, false);
-            self.link_seen.resize(nl, false);
-        }
-    }
-
-    fn uf_find(&mut self, mut l: u32) -> u32 {
-        while self.uf_parent[l as usize] != l {
-            let p = self.uf_parent[l as usize];
-            self.uf_parent[l as usize] = self.uf_parent[p as usize];
-            l = self.uf_parent[l as usize];
-        }
-        l
     }
 
     /// Compute max-min fair rates for `flows` over `link_capacity`, writing
@@ -110,225 +226,178 @@ impl Solver {
     /// get their cap (or `INFINITY` when uncapped). All scratch is reused;
     /// after warmup the call allocates nothing.
     pub fn solve(&mut self, link_capacity: &[f64], flows: &[SolverFlow<'_>], out: &mut Vec<f64>) {
-        let mut paths = std::mem::take(&mut self.flat_paths);
-        let mut meta = std::mem::take(&mut self.flat_meta);
+        let mut comps = std::mem::take(&mut self.comps);
+        comps.reset(link_capacity.len());
+        for f in flows {
+            comps.join(f.path.iter().copied());
+        }
+        comps.group(flows.iter().map(|f| f.path.first().copied()), false);
+        let (mut paths, mut meta, mut rates) = (
+            std::mem::take(&mut self.flat_paths),
+            std::mem::take(&mut self.flat_meta),
+            std::mem::take(&mut self.flat_rates),
+        );
         paths.clear();
         meta.clear();
-        for f in flows {
-            let start = paths.len() as u32;
-            paths.extend_from_slice(f.path);
+        for &i in comps.order() {
+            let f = &flows[i as usize];
             meta.push(FlatFlow {
-                start,
+                start: paths.len() as u32,
                 len: f.path.len() as u32,
                 cap: f.cap,
             });
+            paths.extend_from_slice(f.path);
         }
-        self.solve_flat(link_capacity, &paths, &meta, out);
-        self.flat_paths = paths;
-        self.flat_meta = meta;
+        self.solve_flat(link_capacity, &paths, &meta, comps.ends(), &mut rates);
+        let alone = |f: &SolverFlow| {
+            if f.cap.is_finite() {
+                f.cap
+            } else {
+                f64::INFINITY
+            }
+        };
+        out.clear();
+        out.extend(flows.iter().map(alone));
+        for (k, &i) in comps.order().iter().enumerate() {
+            out[i as usize] = rates[k];
+        }
+        (self.comps, self.flat_paths, self.flat_meta, self.flat_rates) =
+            (comps, paths, meta, rates);
     }
 
-    /// [`Solver::solve`] over pre-packed flat buffers: flow `i`'s path is
-    /// `path_buf[meta[i].start..][..meta[i].len]`. This is the actual engine;
-    /// both entry points produce bit-identical rates for the same flows.
+    /// The engine behind [`Solver::solve`], over pre-packed flat buffers
+    /// already grouped by component: flow `i`'s path is
+    /// `path_buf[meta[i].start..][..meta[i].len]` (never empty), and the
+    /// flows of component `k` are `meta[ends[k - 1]..ends[k]]` (from 0 for
+    /// the first). Components must not share links.
     pub fn solve_flat(
         &mut self,
         link_capacity: &[f64],
         path_buf: &[u32],
         meta: &[FlatFlow],
+        ends: &[u32],
         out: &mut Vec<f64>,
     ) {
         out.clear();
-        let nf = meta.len();
-        if nf == 0 {
-            return;
+        out.resize(meta.len(), 0.0);
+        if self.active.len() < link_capacity.len() {
+            self.active.resize(link_capacity.len(), 0);
+            self.frozen_sum.resize(link_capacity.len(), 0.0);
+            self.saturated.resize(link_capacity.len(), false);
         }
-        self.ensure_links(link_capacity.len());
-        out.resize(nf, 0.0);
-
         // Reset per-link scratch from the previous call.
         for &l in &self.touched_links {
             self.active[l as usize] = 0;
             self.frozen_sum[l as usize] = 0.0;
             self.saturated[l as usize] = false;
-            self.link_seen[l as usize] = false;
         }
         self.touched_links.clear();
-
-        let path = |f: &FlatFlow| &path_buf[f.start as usize..(f.start + f.len) as usize];
-
-        // Pass 1: register links, seed union-find, count active flows.
-        for f in meta {
-            for &l in path(f) {
-                let li = l as usize;
-                if !self.link_seen[li] {
-                    self.link_seen[li] = true;
-                    self.uf_parent[li] = l;
-                    self.touched_links.push(l);
-                }
-                self.active[li] += 1;
-            }
-        }
-        // Pass 2: union every flow's links into one component.
-        for f in meta {
-            if let Some((&first, rest)) = path(f).split_first() {
-                let mut root = self.uf_find(first);
-                for &l in rest {
-                    let r = self.uf_find(l);
-                    if r != root {
-                        // Deterministic union: smaller root wins.
-                        let (lo, hi) = if r < root { (r, root) } else { (root, r) };
-                        self.uf_parent[hi as usize] = lo;
-                        root = lo;
-                    }
-                }
-            }
-        }
-
-        // Pass 3: assign flows to components; empty-path flows solve
-        // trivially to their cap.
-        self.comp.clear();
-        self.comp.resize(nf, u32::MAX);
-        for (i, f) in meta.iter().enumerate() {
-            match path(f).first() {
-                Some(&l) => self.comp[i] = self.uf_find(l),
-                None => out[i] = if f.cap.is_finite() { f.cap } else { f64::INFINITY },
-            }
-        }
-
-        // Group flow indices by component root, preserving relative order
-        // within each component (stable sort by root).
-        let comp = &self.comp;
-        self.order.clear();
-        self.order
-            .extend((0..nf as u32).filter(|&i| comp[i as usize] != u32::MAX));
-        self.order.sort_by_key(|&i| comp[i as usize]);
-
-        // Pass 4: water-fill each component independently.
         let mut start = 0;
-        while start < self.order.len() {
-            let root = self.comp[self.order[start] as usize];
-            let mut end = start + 1;
-            while end < self.order.len() && self.comp[self.order[end] as usize] == root {
-                end += 1;
-            }
-            self.fill_component(link_capacity, path_buf, meta, start..end, out);
-            start = end;
+        for &end in ends {
+            self.fill_component(link_capacity, path_buf, meta, start..end as usize, out);
+            start = end as usize;
         }
     }
 
-    /// Progressive-fill one component: `range` indexes into `self.order`.
+    /// Progressive-fill one component, the flows `meta[flows]`.
     fn fill_component(
         &mut self,
         link_capacity: &[f64],
         path_buf: &[u32],
         meta: &[FlatFlow],
-        range: std::ops::Range<usize>,
+        flows: std::ops::Range<usize>,
         out: &mut [f64],
     ) {
         let path = |f: &FlatFlow| &path_buf[f.start as usize..(f.start + f.len) as usize];
-        self.frozen.resize(meta.len().max(self.frozen.len()), false);
-        for &i in &self.order[range.clone()] {
-            self.frozen[i as usize] = false;
+        // Register the component's links and count the flows on each.
+        let first_link = self.touched_links.len();
+        for f in &meta[flows.clone()] {
+            for &l in path(f) {
+                if self.active[l as usize] == 0 {
+                    self.touched_links.push(l);
+                }
+                self.active[l as usize] += 1;
+            }
         }
-        let mut unfrozen = range.len();
+        self.live.clear();
+        self.live
+            .extend_from_slice(&self.touched_links[first_link..]);
+        self.unfrozen.clear();
+        self.unfrozen.extend(flows.start as u32..flows.end as u32);
+        let mut min_cap = meta[flows]
+            .iter()
+            .fold(f64::INFINITY, |m, f| if f.cap < m { f.cap } else { m });
 
-        while unfrozen > 0 {
+        while !self.unfrozen.is_empty() {
             // The next binding level is the smallest constraint candidate:
             // links offer (capacity - frozen share) / active flows, flows
-            // offer their own cap. Exact comparisons throughout.
-            let mut best = f64::INFINITY;
-            for &i in &self.order[range.clone()] {
-                let fi = i as usize;
-                if self.frozen[fi] {
+            // offer their own cap. Exact comparisons throughout. Links that
+            // saturated or lost their last unfrozen flow leave the live set.
+            let mut best = min_cap;
+            self.level.clear();
+            let mut kept = 0;
+            for k in 0..self.live.len() {
+                let li = self.live[k] as usize;
+                if self.saturated[li] || self.active[li] == 0 {
                     continue;
                 }
-                if meta[fi].cap < best {
-                    best = meta[fi].cap;
+                let level = (link_capacity[li] - self.frozen_sum[li]) / self.active[li] as f64;
+                if level < best {
+                    best = level;
                 }
-                for &l in path(&meta[fi]) {
-                    let li = l as usize;
-                    if !self.saturated[li] && self.active[li] > 0 {
-                        let cand = (link_capacity[li] - self.frozen_sum[li])
-                            / self.active[li] as f64;
-                        if cand < best {
-                            best = cand;
-                        }
-                    }
-                }
+                self.live[kept] = li as u32;
+                self.level.push(level);
+                kept += 1;
             }
+            self.live.truncate(kept);
             if !best.is_finite() {
                 // No finite constraint: the rest are unconstrained.
-                for &i in &self.order[range.clone()] {
-                    if !self.frozen[i as usize] {
-                        out[i as usize] = f64::INFINITY;
-                        self.frozen[i as usize] = true;
-                    }
+                for &i in &self.unfrozen {
+                    out[i as usize] = f64::INFINITY;
                 }
                 break;
             }
             let best = best.max(0.0);
-
-            // Freeze, in deterministic flow order: first every flow whose own
-            // cap binds at this level (rate = cap, exactly), then every flow
+            // Saturate every link at this level. An unfrozen flow never
+            // crosses a link saturated in an earlier round (that round froze
+            // all its flows), so a saturated link on its path saturates now.
+            for (&l, &level) in self.live.iter().zip(&self.level) {
+                if level <= best {
+                    self.saturated[l as usize] = true;
+                }
+            }
+            // Freeze, in deterministic flow order: every flow whose own cap
+            // binds at this level (rate = cap, exactly), then every flow
             // crossing a link that saturates at this level (rate = level).
             // The argmin constraint always freezes at least one flow, so each
             // round makes progress.
-            self.round_frozen.clear();
-            for &i in &self.order[range.clone()] {
-                let fi = i as usize;
-                if !self.frozen[fi] && meta[fi].cap <= best {
-                    out[fi] = meta[fi].cap;
-                    self.round_frozen.push(i);
-                }
-            }
-            for &i in &self.order[range.clone()] {
-                let fi = i as usize;
-                if self.frozen[fi] || meta[fi].cap <= best {
-                    continue;
-                }
-                // The saturation test repeats the candidate expression
-                // verbatim so it agrees with `best` bit-for-bit (a rearranged
-                // comparison could disagree after rounding and stall the
-                // round).
-                let on_saturating = path(&meta[fi]).iter().any(|&l| {
-                    let li = l as usize;
-                    !self.saturated[li]
-                        && self.active[li] > 0
-                        && (link_capacity[li] - self.frozen_sum[li]) / self.active[li] as f64
-                            <= best
-                });
-                if on_saturating {
-                    out[fi] = best;
-                    self.round_frozen.push(i);
-                }
-            }
-            // Mark saturating links before applying the freezes (the test
-            // above uses pre-freeze active counts). Only this component's
-            // links are eligible — walking the component's flow paths keeps
-            // the marking from leaking into other components.
-            for &i in &self.order[range.clone()] {
-                for &l in path(&meta[i as usize]) {
-                    let li = l as usize;
-                    if !self.saturated[li]
-                        && self.active[li] > 0
-                        && (link_capacity[li] - self.frozen_sum[li]) / self.active[li] as f64
-                            <= best
-                    {
-                        self.saturated[li] = true;
+            self.cap_frozen.clear();
+            self.link_frozen.clear();
+            min_cap = f64::INFINITY;
+            let mut kept = 0;
+            for k in 0..self.unfrozen.len() {
+                let i = self.unfrozen[k];
+                let f = &meta[i as usize];
+                if f.cap <= best {
+                    out[i as usize] = f.cap;
+                    self.cap_frozen.push(i);
+                } else if path(f).iter().any(|&l| self.saturated[l as usize]) {
+                    out[i as usize] = best;
+                    self.link_frozen.push(i);
+                } else {
+                    if f.cap < min_cap {
+                        min_cap = f.cap;
                     }
+                    self.unfrozen[kept] = i;
+                    kept += 1;
                 }
             }
-            debug_assert!(!self.round_frozen.is_empty(), "water-fill round stalled");
-            for k in 0..self.round_frozen.len() {
-                let i = self.round_frozen[k];
-                let fi = i as usize;
-                self.frozen[fi] = true;
-                unfrozen -= 1;
-                for &l in path(&meta[fi]) {
-                    let li = l as usize;
-                    self.active[li] -= 1;
-                    self.frozen_sum[li] += out[fi];
+            debug_assert!(kept < self.unfrozen.len(), "water-fill round stalled");
+            self.unfrozen.truncate(kept);
+            for &i in self.cap_frozen.iter().chain(&self.link_frozen) {
+                for &l in path(&meta[i as usize]) {
+                    self.active[l as usize] -= 1;
+                    self.frozen_sum[l as usize] += out[i as usize];
                 }
             }
         }
@@ -362,6 +431,157 @@ mod tests {
 
     fn close(a: f64, b: f64) -> bool {
         (a - b).abs() < 1e-6 * b.abs().max(1.0)
+    }
+
+    /// The flow-centric water-fill the per-link rounds replaced, kept as
+    /// the reference they must match to the bit: each round scans every
+    /// component flow's path three times, dividing at every step. Returns
+    /// the rates and each link's saturation flag.
+    fn reference_solve(caps: &[f64], flows: &[SolverFlow]) -> (Vec<f64>, Vec<bool>) {
+        let nl = caps.len();
+        let mut out: Vec<f64> = flows
+            .iter()
+            .map(|f| {
+                if f.cap.is_finite() {
+                    f.cap
+                } else {
+                    f64::INFINITY
+                }
+            })
+            .collect();
+        let (mut active, mut frozen_sum, mut saturated) =
+            (vec![0u32; nl], vec![0.0f64; nl], vec![false; nl]);
+        let mut parent: Vec<u32> = (0..nl as u32).collect();
+        fn find(p: &[u32], mut l: u32) -> u32 {
+            while p[l as usize] != l {
+                l = p[l as usize];
+            }
+            l
+        }
+        for f in flows {
+            for &l in f.path {
+                active[l as usize] += 1;
+                let (a, b) = (find(&parent, f.path[0]), find(&parent, l));
+                parent[a.max(b) as usize] = a.min(b);
+            }
+        }
+        let root = |i: usize| find(&parent, flows[i].path[0]);
+        let mut order: Vec<usize> = (0..flows.len())
+            .filter(|&i| !flows[i].path.is_empty())
+            .collect();
+        order.sort_by_key(|&i| root(i));
+        let mut frozen = vec![false; flows.len()];
+        for comp in order.chunk_by(|&a, &b| root(a) == root(b)) {
+            let level = |l: u32, active: &[u32], frozen_sum: &[f64]| {
+                (caps[l as usize] - frozen_sum[l as usize]) / active[l as usize] as f64
+            };
+            let open = |l: u32, active: &[u32], saturated: &[bool]| {
+                !saturated[l as usize] && active[l as usize] > 0
+            };
+            while comp.iter().any(|&i| !frozen[i]) {
+                let mut best = f64::INFINITY;
+                for &i in comp.iter().filter(|&&i| !frozen[i]) {
+                    if flows[i].cap < best {
+                        best = flows[i].cap;
+                    }
+                    for &l in flows[i].path {
+                        if open(l, &active, &saturated) && level(l, &active, &frozen_sum) < best {
+                            best = level(l, &active, &frozen_sum);
+                        }
+                    }
+                }
+                if !best.is_finite() {
+                    for &i in comp.iter().filter(|&&i| !frozen[i]) {
+                        out[i] = f64::INFINITY;
+                    }
+                    break;
+                }
+                let best = best.max(0.0);
+                let mut round: Vec<usize> = Vec::new();
+                for &i in comp.iter().filter(|&&i| !frozen[i] && flows[i].cap <= best) {
+                    out[i] = flows[i].cap;
+                    round.push(i);
+                }
+                for &i in comp.iter().filter(|&&i| !frozen[i] && flows[i].cap > best) {
+                    if flows[i].path.iter().any(|&l| {
+                        open(l, &active, &saturated) && level(l, &active, &frozen_sum) <= best
+                    }) {
+                        out[i] = best;
+                        round.push(i);
+                    }
+                }
+                for &i in comp {
+                    for &l in flows[i].path {
+                        if open(l, &active, &saturated) && level(l, &active, &frozen_sum) <= best {
+                            saturated[l as usize] = true;
+                        }
+                    }
+                }
+                assert!(!round.is_empty(), "reference round stalled");
+                for i in round {
+                    frozen[i] = true;
+                    for &l in flows[i].path {
+                        active[l as usize] -= 1;
+                        frozen_sum[l as usize] += out[i];
+                    }
+                }
+            }
+        }
+        (out, saturated)
+    }
+
+    #[test]
+    fn per_link_rounds_match_reference_fill_bitwise() {
+        // Random multi-component instances with mixed caps, exact ties
+        // (equal capacities, caps equal to a fair share) and down links:
+        // rates and saturation flags must agree to the bit.
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        let mut solver = Solver::new();
+        let mut out = Vec::new();
+        for case in 0..400u64 {
+            let mut r = StdRng::seed_from_u64(0xf111_0000 + case);
+            let nl = r.gen_range(1usize..=24);
+            let caps: Vec<f64> = (0..nl)
+                .map(|_| match r.gen_range(0u64..=5) {
+                    0 => 0.0,
+                    1 | 2 => 120.0,
+                    _ => r.gen_range(1.0f64..=1e3),
+                })
+                .collect();
+            let nf = r.gen_range(0usize..=40);
+            let paths: Vec<Vec<u32>> = (0..nf)
+                .map(|_| {
+                    // Paths inside one of a few link bands, so instances
+                    // split into several components.
+                    let band = r.gen_range(0usize..=3);
+                    let len = r.gen_range(0usize..=4);
+                    let mut p: Vec<u32> = (0..len)
+                        .map(|_| ((band * nl / 4 + r.gen_range(0usize..=nl / 4)) % nl) as u32)
+                        .collect();
+                    p.sort_unstable();
+                    p.dedup();
+                    p
+                })
+                .collect();
+            let flows: Vec<SolverFlow> = paths
+                .iter()
+                .map(|p| SolverFlow {
+                    path: p,
+                    cap: match r.gen_range(0u64..=5) {
+                        0 => 30.0,
+                        1 => 40.0,
+                        2 => r.gen_range(1.0f64..=500.0),
+                        _ => f64::INFINITY,
+                    },
+                })
+                .collect();
+            let (want, want_sat) = reference_solve(&caps, &flows);
+            solver.solve(&caps, &flows, &mut out);
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&out), bits(&want), "case {case}: rates");
+            let sat: Vec<bool> = (0..nl as u32).map(|l| solver.link_saturated(l)).collect();
+            assert_eq!(sat, want_sat, "case {case}: saturated links");
+        }
     }
 
     #[test]

@@ -6,6 +6,11 @@
 //! * A **flow** is `bytes` of bulk data from `src` to `dst`, optionally
 //!   window-capped (`window / RTT`, the TCP bandwidth-delay-product limit).
 //!   Rates come from [`crate::fairshare::Solver`].
+//! * **Flow storage** is one `Vec` in flow-id order. Ids are issued in
+//!   increasing order, so a start pushes, a lookup by id is a binary search,
+//!   and drained or cancelled flows leave in one order-preserving compaction
+//!   pass. Every per-flow pass (settling, solving, the drain scan) walks the
+//!   dense vector in id order, the order a global solve sees.
 //! * **Settling** advances every flow's remaining-byte count to the current
 //!   instant at its last-computed rate. The engine settles before any state
 //!   change, so rates are piecewise-constant and exact.
@@ -13,9 +18,12 @@
 //!   touch dirty, all same-instant changes coalesce into a single
 //!   end-of-instant solve of just the affected connected components, and an
 //!   add/remove whose path crosses only unsaturated clean links skips the
-//!   solver entirely. Because components are arithmetically independent and
-//!   the solver freezes constraints with exact comparisons, the incremental
-//!   rates are bit-for-bit identical to a global re-solve.
+//!   solver entirely. One union-find over the flow vector finds the dirty
+//!   components and hands their flows to the solver already grouped, and the
+//!   solved rates are written back by index. Because components are
+//!   arithmetically independent and the solver freezes constraints with
+//!   exact comparisons, the incremental rates are bit-for-bit identical to a
+//!   global re-solve.
 //! * The single pending completion event is a **cancellable timer**
 //!   ([`simcore::TimerId`]), re-registered whenever the earliest drain time
 //!   moves — replacing the classic stale-epoch guard and keeping the event
@@ -34,7 +42,7 @@
 //!   window — the same view SciNet's monitors gave the paper's authors —
 //!   and optionally re-draws jittered link capacities each tick.
 
-use crate::fairshare::{FlatFlow, Solver};
+use crate::fairshare::{Components, FlatFlow, Solver};
 use crate::routes::{Route, RouteTable};
 use crate::topology::{LinkId, NodeId, Topology};
 use rand::rngs::StdRng;
@@ -113,6 +121,7 @@ struct LinkHealth {
 }
 
 struct FlowState<W> {
+    id: u64,
     /// The route's path, shared with the route table.
     path: Rc<[LinkId]>,
     cap: f64,
@@ -139,7 +148,8 @@ pub struct Network<W> {
     routes: RouteTable,
     effective_capacity: Vec<f64>,
     health: Vec<LinkHealth>,
-    flows: BTreeMap<u64, FlowState<W>>,
+    /// Active flows in id order.
+    flows: Vec<FlowState<W>>,
     next_id: u64,
     last_settle: SimTime,
     monitor: Option<Monitor>,
@@ -167,26 +177,10 @@ pub struct Network<W> {
     tick_timer: Option<TimerId>,
 
     // ---- reusable scratch (no per-call allocation once warmed up) ----
+    comps: Components,
     rc_paths: Vec<u32>,
     rc_meta: Vec<FlatFlow>,
-    rc_ids: Vec<u64>,
     rc_rates: Vec<f64>,
-    nw_uf: Vec<u32>,
-    nw_seen: Vec<bool>,
-    nw_touched: Vec<u32>,
-    nw_root_dirty: Vec<bool>,
-    nw_dirty_roots: Vec<u32>,
-    drain_ids: Vec<u64>,
-}
-
-/// Path-halving union-find lookup over a parent array.
-fn uf_find(parent: &mut [u32], mut l: u32) -> u32 {
-    while parent[l as usize] != l {
-        let p = parent[l as usize];
-        parent[l as usize] = parent[p as usize];
-        l = parent[l as usize];
-    }
-    l
 }
 
 impl<W: NetWorld> Network<W> {
@@ -206,7 +200,7 @@ impl<W: NetWorld> Network<W> {
             topo,
             effective_capacity: caps,
             health,
-            flows: BTreeMap::new(),
+            flows: Vec::new(),
             next_id: 0,
             last_settle: SimTime::ZERO,
             monitor: None,
@@ -222,16 +216,10 @@ impl<W: NetWorld> Network<W> {
             have_dirty: false,
             solve_scheduled: false,
             tick_timer: None,
+            comps: Components::default(),
             rc_paths: Vec::new(),
             rc_meta: Vec::new(),
-            rc_ids: Vec::new(),
             rc_rates: Vec::new(),
-            nw_uf: vec![0; nl],
-            nw_seen: vec![false; nl],
-            nw_touched: Vec::new(),
-            nw_root_dirty: vec![false; nl],
-            nw_dirty_roots: Vec::new(),
-            drain_ids: Vec::new(),
         }
     }
 
@@ -250,20 +238,26 @@ impl<W: NetWorld> Network<W> {
         self.total_delivered as u64
     }
 
+    /// Index of an active flow in the id-ordered flow vector.
+    fn flow_index(&self, id: FlowId) -> Option<usize> {
+        self.flows.binary_search_by_key(&id.0, |f| f.id).ok()
+    }
+
     /// Current rate of a flow in bytes/sec, if active.
     pub fn flow_rate(&self, id: FlowId) -> Option<f64> {
-        self.flows.get(&id.0).map(|f| f.rate)
+        self.flow_index(id).map(|i| self.flows[i].rate)
     }
 
     /// Remaining bytes of a flow, if active.
     pub fn flow_remaining(&self, id: FlowId) -> Option<u64> {
-        self.flows.get(&id.0).map(|f| f.remaining.max(0.0) as u64)
+        self.flow_index(id)
+            .map(|i| self.flows[i].remaining.max(0.0) as u64)
     }
 
     /// Sum of active flow rates crossing a link (bytes/sec).
     pub fn link_throughput(&self, link: LinkId) -> f64 {
         self.flows
-            .values()
+            .iter()
             .filter(|f| f.path.contains(&link))
             .map(|f| f.rate)
             .sum()
@@ -448,18 +442,16 @@ impl<W: NetWorld> Network<W> {
                     needs = true;
                 }
             }
-            net.flows.insert(
+            net.flows.push(FlowState {
                 id,
-                FlowState {
-                    path,
-                    cap,
-                    remaining: spec.bytes as f64,
-                    rate,
-                    tag: spec.tag,
-                    delivery_delay,
-                    on_complete: Some(Box::new(on_complete)),
-                },
-            );
+                path,
+                cap,
+                remaining: spec.bytes as f64,
+                rate,
+                tag: spec.tag,
+                delivery_delay,
+                on_complete: Some(Box::new(on_complete)),
+            });
             (id, needs)
         };
         if needs_solve {
@@ -478,13 +470,11 @@ impl<W: NetWorld> Network<W> {
         let ok = {
             let net = w.net();
             net.settle(now);
-            match net.flows.get_mut(&id.0) {
-                Some(f) => {
-                    f.remaining += extra as f64;
-                    true
-                }
-                None => false,
+            let i = net.flow_index(id);
+            if let Some(i) = i {
+                net.flows[i].remaining += extra as f64;
             }
+            i.is_some()
         };
         if ok {
             Self::reschedule_tick(sim, w);
@@ -499,7 +489,7 @@ impl<W: NetWorld> Network<W> {
         let (remaining, needs_solve) = {
             let net = w.net();
             net.settle(now);
-            let f = net.flows.remove(&id.0)?;
+            let f = net.flows.remove(net.flow_index(id)?);
             let needs = net.note_removed(&f);
             (f.remaining.max(0.0) as u64, needs)
         };
@@ -519,21 +509,17 @@ impl<W: NetWorld> Network<W> {
         let (n, needs_solve) = {
             let net = w.net();
             net.settle(now);
-            let mut ids = std::mem::take(&mut net.drain_ids);
-            ids.clear();
-            ids.extend(
-                net.flows
-                    .iter()
-                    .filter(|(_, f)| f.tag == tag)
-                    .map(|(id, _)| *id),
-            );
-            let n = ids.len();
+            let mut flows = std::mem::take(&mut net.flows);
+            let before = flows.len();
             let mut needs = false;
-            for &id in &ids {
-                let f = net.flows.remove(&id).expect("id from iteration");
-                needs |= net.note_removed(&f);
-            }
-            net.drain_ids = ids;
+            flows.retain(|f| {
+                f.tag != tag || {
+                    needs |= net.note_removed(f);
+                    false
+                }
+            });
+            let n = before - flows.len();
+            net.flows = flows;
             (n, needs)
         };
         if n > 0 {
@@ -681,7 +667,7 @@ impl<W: NetWorld> Network<W> {
         // boundary credits the window the bytes were earned in, not the
         // next one.
         let t_rec = SimTime::from_nanos(now.as_nanos().saturating_sub(1));
-        for f in self.flows.values_mut() {
+        for f in &mut self.flows {
             let moved = (f.rate * dt).min(f.remaining);
             f.remaining -= moved;
             self.total_delivered += moved;
@@ -769,121 +755,73 @@ impl<W: NetWorld> Network<W> {
             return;
         }
         // Union-find over every active flow's path, so dirty links resolve
-        // to component roots.
-        let mut uf = std::mem::take(&mut self.nw_uf);
-        for f in self.flows.values() {
-            for l in f.path.iter() {
-                let li = l.0 as usize;
-                if !self.nw_seen[li] {
-                    self.nw_seen[li] = true;
-                    uf[li] = l.0;
-                    self.nw_touched.push(l.0);
-                }
-            }
-            if let Some((first, rest)) = f.path.split_first() {
-                let mut root = uf_find(&mut uf, first.0);
-                for l in rest {
-                    let r = uf_find(&mut uf, l.0);
-                    if r != root {
-                        // Deterministic union: smaller root wins.
-                        let (lo, hi) = if r < root { (r, root) } else { (root, r) };
-                        uf[hi as usize] = lo;
-                        root = lo;
-                    }
-                }
-            }
-        }
-        // Resolve dirty links to dirty component roots. A dirty link no flow
+        // to components; number the dirty ones. A dirty link no flow
         // crosses has nothing to solve; reset its state directly.
-        for k in 0..self.dirty_links.len() {
-            let l = self.dirty_links[k];
-            let li = l as usize;
-            if self.nw_seen[li] {
-                let root = uf_find(&mut uf, l);
-                if !self.nw_root_dirty[root as usize] {
-                    self.nw_root_dirty[root as usize] = true;
-                    self.nw_dirty_roots.push(root);
-                }
-            } else {
-                self.link_load[li] = 0.0;
-                self.link_saturated[li] = false;
-            }
+        let comps = &mut self.comps;
+        comps.reset(self.effective_capacity.len());
+        for f in &self.flows {
+            comps.join(f.path.iter().map(|l| l.0));
         }
-        // Collect the affected flows — flow-id order, matching what a global
-        // solve would see — into the flat scratch.
-        self.rc_paths.clear();
-        self.rc_meta.clear();
-        self.rc_ids.clear();
-        for (&id, f) in &self.flows {
-            let Some(first) = f.path.first() else {
-                continue;
-            };
-            let root = uf_find(&mut uf, first.0);
-            if self.nw_root_dirty[root as usize] {
-                let start = self.rc_paths.len() as u32;
-                self.rc_paths.extend(f.path.iter().map(|l| l.0));
-                self.rc_meta.push(FlatFlow {
-                    start,
-                    len: f.path.len() as u32,
-                    cap: f.cap,
-                });
-                self.rc_ids.push(id);
-            }
-        }
-        self.nw_uf = uf;
-
-        if !self.rc_meta.is_empty() {
-            let paths = std::mem::take(&mut self.rc_paths);
-            let meta = std::mem::take(&mut self.rc_meta);
-            let mut rates = std::mem::take(&mut self.rc_rates);
-            let mut solver = std::mem::take(&mut self.solver);
-            solver.solve_flat(&self.effective_capacity, &paths, &meta, &mut rates);
-            // Solver-touched links get exact state: zeroed load re-accrued
-            // from the freshly solved rates, and fresh saturation flags.
-            for &l in solver.touched_links() {
-                let li = l as usize;
-                self.link_load[li] = 0.0;
-                self.link_saturated[li] = solver.link_saturated(l);
-            }
-            for (k, &id) in self.rc_ids.iter().enumerate() {
-                let r = rates[k].min(RATE_CLAMP);
-                let f = self.flows.get_mut(&id).expect("id collected above");
-                f.rate = r;
-                for l in f.path.iter() {
-                    self.link_load[l.0 as usize] += r;
-                }
-            }
-            self.rc_paths = paths;
-            self.rc_meta = meta;
-            self.rc_rates = rates;
-            self.solver = solver;
-        }
-
         for &l in &self.dirty_links {
+            if !comps.number(l) {
+                self.link_load[l as usize] = 0.0;
+                self.link_saturated[l as usize] = false;
+            }
             self.dirty_link_flag[l as usize] = false;
         }
         self.dirty_links.clear();
         self.have_dirty = false;
-        for &l in &self.nw_touched {
-            self.nw_seen[l as usize] = false;
+        // The dirty components' flows, grouped by component and in flow-id
+        // order within each — what a global solve would see.
+        comps.group(self.flows.iter().map(|f| f.path.first().map(|l| l.0)), true);
+        if comps.order().is_empty() {
+            return;
         }
-        self.nw_touched.clear();
-        for &r in &self.nw_dirty_roots {
-            self.nw_root_dirty[r as usize] = false;
+        self.rc_paths.clear();
+        self.rc_meta.clear();
+        for &i in comps.order() {
+            let f = &self.flows[i as usize];
+            self.rc_meta.push(FlatFlow {
+                start: self.rc_paths.len() as u32,
+                len: f.path.len() as u32,
+                cap: f.cap,
+            });
+            self.rc_paths.extend(f.path.iter().map(|l| l.0));
         }
-        self.nw_dirty_roots.clear();
+        let solver = &mut self.solver;
+        solver.solve_flat(
+            &self.effective_capacity,
+            &self.rc_paths,
+            &self.rc_meta,
+            comps.ends(),
+            &mut self.rc_rates,
+        );
+        // Solver-touched links get exact state: zeroed load re-accrued from
+        // the freshly solved rates, and fresh saturation flags.
+        for &l in solver.touched_links() {
+            self.link_load[l as usize] = 0.0;
+            self.link_saturated[l as usize] = solver.link_saturated(l);
+        }
+        for (&i, &r) in comps.order().iter().zip(&self.rc_rates) {
+            let f = &mut self.flows[i as usize];
+            f.rate = r.min(RATE_CLAMP);
+            for l in f.path.iter() {
+                self.link_load[l.0 as usize] += f.rate;
+            }
+        }
     }
 
     /// Earliest instant at which some flow drains (absolute), if any.
+    /// The seconds-to-drain minimum converts to a `SimTime` once: the
+    /// conversion is monotone, so that is the earliest converted instant.
     fn next_drain(&self, now: SimTime) -> Option<SimTime> {
-        self.flows
-            .values()
+        let secs = self
+            .flows
+            .iter()
             .filter(|f| f.rate > 0.0)
-            .map(|f| {
-                let secs = (f.remaining.max(0.0)) / f.rate;
-                now + SimDuration::from_secs_f64(secs) + SimDuration::from_nanos(1)
-            })
-            .min()
+            .map(|f| f.remaining.max(0.0) / f.rate)
+            .reduce(f64::min)?;
+        Some(now + SimDuration::from_secs_f64(secs) + SimDuration::from_nanos(1))
     }
 
     /// Re-register the single completion timer at the current earliest drain
@@ -910,25 +848,25 @@ impl<W: NetWorld> Network<W> {
             let net = w.net();
             net.tick_timer = None;
             net.settle(now);
-            let mut ids = std::mem::take(&mut net.drain_ids);
-            ids.clear();
-            ids.extend(
-                net.flows
-                    .iter()
-                    .filter(|(_, f)| f.remaining <= DRAIN_EPS)
-                    .map(|(id, _)| *id),
-            );
-            let mut done: Vec<(SimDuration, Action<W>)> = Vec::with_capacity(ids.len());
+            let mut done: Vec<(SimDuration, Action<W>)> = Vec::new();
             let mut needs_solve = false;
-            for &id in &ids {
-                let mut f = net.flows.remove(&id).expect("id from iteration");
-                self_credit_residual(&mut net.total_delivered, &mut f);
-                needs_solve |= net.note_removed(&f);
+            let mut flows = std::mem::take(&mut net.flows);
+            flows.retain_mut(|f| {
+                if f.remaining > DRAIN_EPS {
+                    return true;
+                }
+                // Credit the final sub-epsilon residue so accounting
+                // stays exact.
+                if f.remaining > 0.0 {
+                    net.total_delivered += f.remaining;
+                }
+                needs_solve |= net.note_removed(f);
                 if let Some(cb) = f.on_complete.take() {
                     done.push((f.delivery_delay, cb));
                 }
-            }
-            net.drain_ids = ids;
+                false
+            });
+            net.flows = flows;
             (done, needs_solve)
         };
         if needs_solve {
@@ -939,14 +877,6 @@ impl<W: NetWorld> Network<W> {
         for (delay, cb) in drained {
             sim.at(now + delay, cb);
         }
-    }
-}
-
-/// Credit the final sub-epsilon residue so accounting stays exact.
-fn self_credit_residual<W>(total: &mut f64, f: &mut FlowState<W>) {
-    if f.remaining > 0.0 {
-        *total += f.remaining;
-        f.remaining = 0.0;
     }
 }
 
@@ -1445,6 +1375,90 @@ mod tests {
         assert!((t_win.as_secs_f64() - 1.0).abs() < 0.1);
         assert!(w.net.flow_rate(capped).is_none());
         assert_eq!(w.net.total_delivered(), 145 * MBYTE);
+    }
+
+    #[test]
+    fn mid_table_mutations_keep_rates_equal_to_a_global_solve() {
+        // Cancel, extend and tag-cancel flows in the middle of the id-ordered
+        // table; every surviving rate must still equal a fresh global solve
+        // over the survivors in id order, to the bit.
+        let mut b = TopologyBuilder::new();
+        let a = b.node("a");
+        let m = b.node("m");
+        let c = b.node("c");
+        let d = b.node("d");
+        let ms = SimDuration::from_millis;
+        b.duplex_link(a, m, Bandwidth::gbit(10.0), ms(5), "am");
+        b.duplex_link(m, c, Bandwidth::gbit(1.0), ms(20), "mc");
+        b.duplex_link(m, d, Bandwidth::gbit(2.0), ms(3), "md");
+        let mut w = World {
+            net: Network::new(b.build(), 1),
+            done: Vec::new(),
+        };
+        let mut sim = Sim::new();
+        // (src, dst, window, tag)
+        let specs = [
+            (a, c, None, 1),
+            (a, d, None, 7),
+            (c, a, Some(MBYTE), 1),
+            (d, c, None, 2),
+            (a, c, Some(256 * 1024), 7),
+            (d, a, None, 2),
+            (c, d, None, 7),
+            (a, m, None, 3),
+            (m, c, Some(MBYTE), 2),
+        ];
+        let ids: Vec<FlowId> = specs
+            .iter()
+            .map(|&(src, dst, window, tag)| {
+                let mut spec = FlowSpec::bulk(src, dst, GBYTE).with_tag(tag);
+                if let Some(wnd) = window {
+                    spec = spec.with_window(wnd);
+                }
+                Network::start_flow(&mut sim, &mut w, spec, |_s, _w: &mut World| {})
+            })
+            .collect();
+        let t = SimTime::from_millis(100);
+        let (mid, ext) = (ids[3], ids[5]);
+        sim.at(t, move |sim, w: &mut World| {
+            assert!(Network::cancel_flow(sim, w, mid).is_some());
+            assert!(Network::extend_flow(sim, w, ext, GBYTE));
+            assert_eq!(Network::cancel_tagged(sim, w, 7), 3);
+        });
+        sim.set_horizon(t + SimDuration::from_micros(1));
+        sim.run(&mut w);
+        let topo = w.net.topo().clone();
+        let caps: Vec<f64> = topo.links().iter().map(|l| l.capacity).collect();
+        let mut live = Vec::new();
+        for (k, &(src, dst, window, tag)) in specs.iter().enumerate() {
+            if k == 3 || tag == 7 {
+                assert_eq!(w.net.flow_rate(ids[k]), None, "flow {k} is gone");
+                continue;
+            }
+            let path: Vec<u32> = topo.route(src, dst).unwrap().iter().map(|l| l.0).collect();
+            let cap = window.map_or(f64::INFINITY, |wnd| {
+                let rtt = topo.path_delay(&topo.route(src, dst).unwrap())
+                    + topo.path_delay(&topo.route(dst, src).unwrap());
+                wnd as f64 / rtt.as_secs_f64().max(1e-9)
+            });
+            live.push((ids[k], path, cap));
+        }
+        let flows: Vec<crate::fairshare::SolverFlow> = live
+            .iter()
+            .map(|(_, p, cap)| crate::fairshare::SolverFlow { path: p, cap: *cap })
+            .collect();
+        let want = crate::fairshare::allocate(&caps, &flows);
+        for ((id, ..), want) in live.iter().zip(&want) {
+            assert_eq!(
+                w.net.flow_rate(*id).unwrap().to_bits(),
+                want.to_bits(),
+                "{id:?}"
+            );
+        }
+        assert!(
+            w.net.flow_remaining(ext).unwrap() > GBYTE,
+            "the extension landed"
+        );
     }
 
     #[test]
